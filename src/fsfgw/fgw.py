@@ -67,7 +67,8 @@ def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.
     """K[i, j] = sum_{i' j'} |C1[i, i'] - C2[j, j']|^q T[i', j'] (direct).
 
     The quartic value is <K, T> and its gradient is 2 K.  Work is blocked
-    over rows of C1 to bound peak memory.
+    over rows of C1 so that a block holds at most 2**22 doubles (32 MiB), or
+    one row of n * m * m doubles when that is larger.
     """
 
     n, m = T.shape
@@ -76,12 +77,16 @@ def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.
             f"direct contraction needs n*m <= {DIRECT_CONTRACTION_CAP}, got {n * m}"
         )
     K = np.empty((n, m))
-    block = max(1, int(2**22 // max(1, n * m)))
+    block = max(1, 2**22 // (n * m * m))
     for start in range(0, n, block):
         stop = min(n, start + block)
-        # diff has shape (block, m, n, m): |C1[i, i'] - C2[j, j']|^q
-        diff = np.abs(C1[start:stop, None, :, None] - C2[None, :, None, :]) ** q
+        # diff has shape (block, m, n, m): |C1[i, i'] - C2[j, j']|^q, built
+        # in place so the block is the only array of that size.
+        diff = C1[start:stop, None, :, None] - C2[None, :, None, :]
+        np.abs(diff, out=diff)
+        diff **= q
         K[start:stop] = np.einsum("bjkl,kl->bj", diff, T)
+        del diff  # free the block before the next one is allocated
     return K
 
 

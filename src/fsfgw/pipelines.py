@@ -21,6 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .core import (
     FsFgwConfig,
@@ -106,19 +108,6 @@ class InvalidObjectFile(FsfgwError):
 # graph helpers
 
 
-def _bfs_hops(neighbors: list[list[int]], source: int) -> np.ndarray:
-    hops = np.full(len(neighbors), -1, dtype=np.int64)
-    hops[source] = 0
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for other in neighbors[node]:
-            if hops[other] < 0:
-                hops[other] = hops[node] + 1
-                queue.append(other)
-    return hops
-
-
 def _bfs_order(neighbors: list[list[int]], source: int) -> list[int]:
     seen = [False] * len(neighbors)
     seen[source] = True
@@ -164,17 +153,16 @@ def geodesic_structure(
         for i, j in adjacency
         if i in local and j in local and i != j
     ]
-    neighbors = _neighbor_lists(edges, k)
-    C = np.zeros((k, k))
-    for s in range(k):
-        hops = _bfs_hops(neighbors, s)
-        if hops.min() < 0:
-            comps = _components(neighbors)
-            named = [sorted(nodes[i] for i in comp) for comp in comps]
-            raise DisconnectedDistrict(
-                f"induced subgraph on {k} nodes splits into components {named}"
-            )
-        C[s] = hops
+    rows = [i for i, _ in edges]
+    cols = [j for _, j in edges]
+    graph = csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(k, k))
+    C = shortest_path(graph, directed=False, unweighted=True)
+    if not np.all(np.isfinite(C)):
+        comps = _components(_neighbor_lists(edges, k))
+        named = [sorted(nodes[i] for i in comp) for comp in comps]
+        raise DisconnectedDistrict(
+            f"induced subgraph on {k} nodes splits into components {named}"
+        )
     mx = C.max(initial=0.0)
     if mx > 0.0:
         C /= mx

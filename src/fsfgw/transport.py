@@ -1,12 +1,25 @@
 """Exact transport over the coupling polytope.
 
-``solve_emd`` solves min <cost, T> over U(a, b) with a primal network
-simplex specialized to the bipartite transportation problem: the basis is
-a spanning tree of the n + m node graph, entering arcs are picked by most
-negative reduced cost with lowest-flat-index tie-breaking, and after a
-fixed number of pivots the entering rule switches to Bland's lowest-index
-rule so termination is guaranteed.  Solutions are vertices of the
-polytope: at most n + m - 1 entries are nonzero.
+``solve_emd`` solves min <cost, T> over U(a, b) and returns a vertex of the
+polytope (at most n + m - 1 nonzero entries).  The route is chosen from the
+input:
+
+* Uniform square measures (n = m, all entries of ``a`` equal, all entries
+  of ``b`` equal): the vertices of U(1/n, 1/n) are permutation matrices
+  divided by n (Birkhoff-von Neumann), so the LP is an assignment problem
+  and ``scipy.optimize.linear_sum_assignment`` solves it exactly.
+* Everything else: a primal network simplex specialized to the bipartite
+  transportation problem.  The basis is a spanning tree of the n + m node
+  graph, entering arcs are picked by most negative reduced cost with
+  lowest-flat-index tie-breaking, and after a fixed number of pivots the
+  entering rule switches to Bland's lowest-index rule so termination is
+  guaranteed.
+
+Determinism: the same input always gives the same plan.  When costs are
+degenerate, which optimal vertex that is depends on the route.  The
+simplex breaks ties on the lowest flat cell index; the assignment route
+returns whichever permutation ``linear_sum_assignment`` picks, which is
+fixed for a given cost but follows no index rule.
 
 ``line_search_quadratic`` is the exact minimizer of a 1-D quadratic on
 [0, 1], used by the conditional-gradient solver.
@@ -17,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .core import FsfgwError, ShapeMismatch, TransportPlan
 
@@ -46,7 +60,11 @@ class NumericalFailure(FsfgwError):
 
 @dataclass(frozen=True)
 class LpSolution:
-    """An optimal vertex plan, its objective value, and the pivot count."""
+    """An optimal vertex plan, its objective value, and the pivot count.
+
+    ``iterations`` counts network-simplex pivots; it is 0 when the
+    assignment route solved the LP.
+    """
 
     plan: TransportPlan
     value: float
@@ -105,8 +123,15 @@ def solve_emd(
     Marginals are rescaled to a common sum (that of ``a``) before solving;
     an imbalance above 1e-7 raises ``Infeasible`` and anything below is
     absorbed into the largest entry of ``b``.  The returned plan is a
-    vertex of the polytope.  Pivoting is deterministic: ties in both the
-    entering and the leaving choice break on the lowest flat cell index.
+    vertex of the polytope and is deterministic for a given input.
+
+    Uniform square inputs (n = m, ``a`` constant, ``b`` constant) are
+    solved as an assignment problem: the plan is a permutation matrix
+    scaled by ``a``, the one ``linear_sum_assignment`` picks, and
+    ``iterations`` is 0.  On degenerate costs that pick need not be the
+    lowest-flat-index vertex.  All other inputs go through the network
+    simplex, where ties in both the entering and the leaving choice break
+    on the lowest flat cell index and ``iterations`` counts pivots.
     """
 
     cost = np.ascontiguousarray(cost, dtype=float)
@@ -128,9 +153,19 @@ def solve_emd(
         raise Infeasible("marginals must have positive mass")
     if abs(sa - sb) > IMBALANCE_TOL:
         raise Infeasible(f"marginal sums differ by {abs(sa - sb):.3e} (> {IMBALANCE_TOL:g})")
+    # Tested before b is rescaled, since absorbing the residue can make one
+    # entry of a uniform b differ in the last bit.
+    uniform_square = n == m and bool(np.all(a == a[0]) and np.all(b == b[0]))
     b = b * (sa / sb)
     b = b.copy()
     b[int(np.argmax(b))] += sa - b.sum()
+
+    if uniform_square:
+        rows, perm = linear_sum_assignment(cost)
+        T = np.zeros((n, m))
+        T[rows, perm] = a
+        plan = TransportPlan(T=T, row_marginal=a, col_marginal=b)
+        return LpSolution(plan=plan, value=float(np.dot(cost[rows, perm], a)), iterations=0)
 
     arc_row, arc_col, arc_flow = _northwest_corner(a, b)
     n_nodes = n + m

@@ -1,5 +1,7 @@
 """Structure-distortion quartic form and the conditional-gradient solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,27 @@ class TestGwValue:
             gw_value(T, C, C, q=1.0)
         # The factorized q=2 route has no such cap.
         assert gw_value(T, C, C, q=2.0) == 0.0
+
+    def test_direct_contraction_memory_is_bounded(self):
+        # At n = m = 60 the (rows, m, n, m) difference tensor would take
+        # 104 MB in one piece.  Blocks of at most 2**22 doubles (33.6 MB)
+        # plus the small inputs and outputs must stay under 40 MB.
+        n = 60
+        rng = np.random.default_rng(11)
+        C1 = oracles.random_structure(rng, n)
+        C2 = oracles.random_structure(rng, n)
+        T = np.full((n, n), 1.0 / n**2)
+        tracemalloc.start()
+        try:
+            G = gw_gradient(T, C1, C2, q=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        # Cells from the first, a middle and the last block, summed directly.
+        for i, j in ((0, 0), (19, 7), (38, 59), (59, 30)):
+            cell = 2.0 * np.sum(np.abs(C1[i][:, None] - C2[j][None, :]) * T)
+            assert G[i, j] == pytest.approx(cell, rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

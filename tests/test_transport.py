@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fsfgw.core import ShapeMismatch
+from fsfgw.core import MARGINAL_TOL, ShapeMismatch
 from fsfgw.transport import (
     Infeasible,
     NumericalFailure,
@@ -113,11 +113,52 @@ class TestSolveEmd:
         assert sol.plan.T.sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_pivot_budget_enforced(self):
-        # Northwest-corner start is suboptimal here, so at least one pivot
-        # is needed and a zero budget must trip the cycling guard.
+        # Non-uniform marginals keep this on the network simplex.  The
+        # northwest-corner start puts 0.4 on the costly cell (0, 0), so at
+        # least one pivot is needed and a zero budget must trip the guard.
         cost = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NumericalFailure):
-            solve_emd(cost, [0.5, 0.5], [0.5, 0.5], max_pivots=0)
+            solve_emd(cost, [0.4, 0.6], [0.6, 0.4], max_pivots=0)
+
+
+class TestAssignmentRoute:
+    """Uniform square marginals are solved as an assignment problem."""
+
+    @given(n=st.integers(1, 12), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_tied_costs_match_lp(self, n, data):
+        # Integer costs in {0, ..., 3} make many optimal vertices tie.
+        cells = data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+        cost = np.array(cells, dtype=float).reshape(n, n)
+        a = np.full(n, 1.0 / n)
+        sol = solve_emd(cost, a, a)
+        ref_value, _ = oracles.emd_lp(cost, a, a)
+        assert sol.value == pytest.approx(ref_value, abs=1e-12)
+        assert sol.iterations == 0
+        T = sol.plan.T
+        # A permutation matrix divided by n: one cell of mass 1/n per row
+        # and column, which is a vertex (n <= n + m - 1 nonzeros).
+        assert np.count_nonzero(T) == n
+        assert np.array_equal(np.sort(np.flatnonzero(T) % n), np.arange(n))
+        assert np.all(T[T > 0] == 1.0 / n)
+        assert np.abs(T.sum(axis=1) - a).max() <= MARGINAL_TOL
+        assert np.abs(T.sum(axis=0) - a).max() <= MARGINAL_TOL
+
+    @given(seed=st.integers(0, 5_000), n=st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_nonuniform_column_measure_matches_lp(self, seed, n):
+        # A uniform a alone does not select the assignment route; this
+        # instance goes through the network simplex.
+        rng = np.random.default_rng(seed)
+        cost = rng.integers(0, 4, (n, n)).astype(float)
+        a = np.full(n, 1.0 / n)
+        b = oracles.random_measure(rng, n)
+        sol = solve_emd(cost, a, b)
+        ref_value, _ = oracles.emd_lp(cost, a, b)
+        assert sol.value == pytest.approx(ref_value, abs=1e-12)
+        assert np.count_nonzero(sol.plan.T) <= 2 * n - 1
+        assert np.abs(sol.plan.T.sum(axis=1) - a).max() <= MARGINAL_TOL
+        assert np.abs(sol.plan.T.sum(axis=0) - b).max() <= MARGINAL_TOL
 
 
 class TestLineSearchQuadratic:
