@@ -19,6 +19,7 @@ from .core import (
     FsfgwError,
     InvalidConfig,
     InvalidMeasure,
+    InvalidPartition,
     PairContext,
     ShapeMismatch,
     SolveResult,
@@ -73,7 +74,6 @@ from .pipelines import (
 )
 from .suppression import (
     InvalidFraction,
-    InvalidPartition,
     MissingLambda,
     WeightUpdateInput,
     calibrate_lambda,

@@ -32,14 +32,10 @@ from . import __version__
 from .core import (
     FEATURE_NORMS,
     MODES,
-    AsymmetricCost,
     DimensionMismatch,
     FsFgwConfig,
     FsfgwError,
     InvalidConfig,
-    InvalidMeasure,
-    ShapeMismatch,
-    validate_pair,
 )
 from .fgw import InstanceTooLarge
 from .pipelines import (
@@ -150,7 +146,7 @@ def _config_from_args(args, groups=None) -> FsFgwConfig:
     )
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, default_norm: str) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.5, help="trade-off in [0, 1]")
     parser.add_argument("--q", type=float, default=2.0, help="cost exponent (>= 1)")
     parser.add_argument("--mode", choices=MODES, default="lasso")
@@ -168,7 +164,13 @@ def _add_config_flags(parser: argparse.ArgumentParser, default_norm: str) -> Non
     parser.add_argument(
         "--groups", default=None, help="JSON file with a list of feature-index lists"
     )
-    parser.add_argument("--norm", choices=FEATURE_NORMS, default=default_norm)
+    parser.add_argument(
+        "--norm",
+        choices=FEATURE_NORMS,
+        default="per_feature",
+        help="per_feature rescales each feature's cost matrix to maximum 1; "
+        "none keeps raw costs",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-outer-iter", type=int, default=50)
     parser.add_argument("--out", default="fsfgw_out", help="output directory")
@@ -189,7 +191,6 @@ def _weights_csv_rows(result, names=None) -> list[list[str]]:
 def cmd_solve(args) -> int:
     x = load_structured_object(args.x)
     y = load_structured_object(args.y)
-    validate_pair(x, y)
     config = _config_from_args(args)
     result = solve_fsfgw(x, y, config)
     out = _out_dir(args)
@@ -471,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one pair of object JSON files")
     p_solve.add_argument("x", help="first structured-object JSON file")
     p_solve.add_argument("y", help="second structured-object JSON file")
-    _add_config_flags(p_solve, default_norm="per_feature")
+    _add_config_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_syn = sub.add_parser("synthetic", help="planted-feature recovery experiments")
@@ -486,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rec = syn_sub.add_parser("recover", help="one recovery run")
     _add_spec_flags(p_rec)
-    _add_config_flags(p_rec, default_norm="per_feature")
+    _add_config_flags(p_rec)
     p_rec.set_defaults(func=cmd_synthetic_recover)
 
     p_sweep = syn_sub.add_parser("delta-sweep", help="separation vs shift size")
@@ -497,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--modes", default="lasso,ridge,simplex,group_simplex", help="comma list"
     )
-    _add_config_flags(p_sweep, default_norm="per_feature")
+    _add_config_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_synthetic_delta_sweep)
 
     p_roc = syn_sub.add_parser("roc", help="recovery ROC over suppression fractions")
@@ -505,13 +506,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roc.add_argument(
         "--fracs", default="0.05,0.1,0.2,0.3,0.5,0.7", help="comma list of fractions"
     )
-    _add_config_flags(p_roc, default_norm="per_feature")
+    _add_config_flags(p_roc)
     p_roc.set_defaults(func=cmd_synthetic_roc)
 
     p_pair = sub.add_parser("pairwise", help="distance matrix over a directory of objects")
     p_pair.add_argument("objects", help="directory of structured-object JSON files")
     p_pair.add_argument("--workers", type=int, default=1)
-    _add_config_flags(p_pair, default_norm="per_feature")
+    _add_config_flags(p_pair)
     p_pair.set_defaults(func=cmd_pairwise)
 
     p_red = sub.add_parser("redistrict", help="district-matched plan comparison")
@@ -522,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("edges", help="edges.csv")
     p_cmp.add_argument("plan_p", help="first plan CSV")
     p_cmp.add_argument("plan_q", help="second plan CSV")
-    _add_config_flags(p_cmp, default_norm="per_pair")
+    _add_config_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_redistrict_compare)
 
     p_mat = red_sub.add_parser("matrix", help="plan-vs-plan distance matrix")
@@ -530,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mat.add_argument("edges")
     p_mat.add_argument("plans", nargs="+", help="plan CSV files")
     p_mat.add_argument("--workers", type=int, default=1)
-    _add_config_flags(p_mat, default_norm="per_pair")
+    _add_config_flags(p_mat)
     p_mat.set_defaults(func=cmd_redistrict_matrix)
 
     p_clu = red_sub.add_parser("cluster", help="complete-linkage clustering of plans")
@@ -538,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_clu.add_argument("edges")
     p_clu.add_argument("plans", nargs="+", help="plan CSV files")
     p_clu.add_argument("--workers", type=int, default=1)
-    _add_config_flags(p_clu, default_norm="per_pair")
+    _add_config_flags(p_clu)
     p_clu.set_defaults(func=cmd_redistrict_cluster)
 
     return parser

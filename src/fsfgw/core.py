@@ -28,6 +28,7 @@ __all__ = [
     "AsymmetricCost",
     "ShapeMismatch",
     "InvalidConfig",
+    "InvalidPartition",
     "StructuredObject",
     "TransportPlan",
     "SuppressionWeights",
@@ -36,6 +37,7 @@ __all__ = [
     "SolveResult",
     "PairContext",
     "validate_pair",
+    "check_partition",
     "feature_cost_stack",
     "feature_scores",
 ]
@@ -47,7 +49,7 @@ SYMMETRY_TOL = 1e-9
 MARGINAL_TOL = 1e-8
 
 MODES = ("lasso", "ridge", "simplex", "group_simplex")
-FEATURE_NORMS = ("none", "per_feature", "per_pair")
+FEATURE_NORMS = ("none", "per_feature")
 
 
 class FsfgwError(Exception):
@@ -72,6 +74,10 @@ class ShapeMismatch(FsfgwError):
 
 class InvalidConfig(FsfgwError):
     """A solver configuration violates its invariants."""
+
+
+class InvalidPartition(InvalidConfig):
+    """Groups do not partition the feature index set."""
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -202,8 +208,27 @@ class TransportPlan:
         return self.T.shape
 
 
-def _normalize_groups(groups: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i) for i in g) for g in groups)
+def check_partition(
+    groups: Sequence[Sequence[int]] | None, d: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Check that nonempty ``groups`` cover the indices 0..d-1 exactly once
+    and return them as tuples of ints.
+
+    ``d`` defaults to the largest index plus one, which is what a
+    configuration can check before the feature count is known.
+    """
+
+    if not groups:
+        raise InvalidPartition("a group partition is required")
+    groups = tuple(tuple(int(i) for i in g) for g in groups)
+    flat = sorted(i for g in groups for i in g)
+    if d is None:
+        d = flat[-1] + 1 if flat else 0
+    if any(len(g) == 0 for g in groups) or flat != list(range(d)):
+        raise InvalidPartition(
+            f"groups must partition the {d} feature indices exactly once"
+        )
+    return groups
 
 
 @dataclass(frozen=True)
@@ -212,7 +237,8 @@ class SuppressionWeights:
 
     Mode invariants are enforced: lasso weights are binary, simplex weights
     are one-hot, and group-simplex weights are constant 1 on exactly one
-    group of the partition and 0 elsewhere.
+    group of the partition and 0 elsewhere.  ``groups``, required for
+    group simplex and optional otherwise, must partition the d indices.
     """
 
     w: np.ndarray
@@ -229,7 +255,8 @@ class SuppressionWeights:
         if w.min(initial=0.0) < -1e-12 or w.max(initial=0.0) > 1.0 + 1e-12:
             raise InvalidConfig("weights must lie in [0, 1]")
         w = np.clip(w, 0.0, 1.0)
-        d = w.shape[0]
+        if self.mode == "group_simplex" or self.groups is not None:
+            object.__setattr__(self, "groups", check_partition(self.groups, w.shape[0]))
 
         if self.mode == "lasso":
             if not np.all((w == 0.0) | (w == 1.0)):
@@ -239,18 +266,10 @@ class SuppressionWeights:
             if not (np.count_nonzero(w == 1.0) == 1 and np.count_nonzero(w) == 1):
                 raise InvalidConfig("simplex weights must be one-hot")
         elif self.mode == "group_simplex":
-            if self.groups is None:
-                raise InvalidConfig("group_simplex weights require a group partition")
-            groups = _normalize_groups(self.groups)
-            seen = [i for g in groups for i in g]
-            if sorted(seen) != list(range(d)) or any(len(g) == 0 for g in groups):
-                raise InvalidConfig("groups must partition the feature indices")
+            groups = self.groups
             hot = [gi for gi, g in enumerate(groups) if all(w[list(g)] == 1.0)]
             if len(hot) != 1 or np.count_nonzero(w) != len(groups[hot[0]]):
                 raise InvalidConfig("group_simplex weights must be 1 on one group only")
-            object.__setattr__(self, "groups", groups)
-        if self.mode != "group_simplex" and self.groups is not None:
-            object.__setattr__(self, "groups", _normalize_groups(self.groups))
         object.__setattr__(self, "w", _readonly(w))
 
     @property
@@ -312,15 +331,7 @@ class FsFgwConfig:
                     f"{self.mode} mode accepts neither lambda nor suppression_fraction"
                 )
         if self.mode == "group_simplex":
-            if not self.groups:
-                raise InvalidConfig("group_simplex mode requires groups")
-            groups = _normalize_groups(self.groups)
-            flat = [i for g in groups for i in g]
-            if any(len(g) == 0 for g in groups):
-                raise InvalidConfig("groups must be nonempty")
-            if len(set(flat)) != len(flat) or (flat and min(flat) < 0):
-                raise InvalidConfig("groups must be disjoint nonnegative index sets")
-            object.__setattr__(self, "groups", groups)
+            object.__setattr__(self, "groups", check_partition(self.groups))
         elif self.groups is not None:
             raise InvalidConfig(f"groups are only meaningful for group_simplex mode")
         if self.max_outer_iter < 1:
@@ -418,11 +429,9 @@ def feature_cost_stack(
 ) -> np.ndarray:
     """Build the stack of per-feature cost matrices M_r[i, j] = |x_ir - y_jr|^q.
 
-    With ``norm`` set to ``per_feature`` or ``per_pair`` each matrix is
-    rescaled so its maximum entry is 1; all-zero matrices are left
-    untouched.  (The two modes apply the identical rescaling here and exist
-    so callers can record which dataset-level convention produced the pair.)
-    Returns a read-only array of shape (d, n, m).
+    With ``norm="per_feature"`` each matrix is rescaled so its maximum
+    entry is 1; all-zero matrices are left untouched.  ``norm="none"``
+    keeps the raw costs.  Returns a read-only array of shape (d, n, m).
     """
 
     ctx = validate_pair(x, y)
@@ -432,7 +441,7 @@ def feature_cost_stack(
         raise InvalidConfig(f"norm must be one of {FEATURE_NORMS}, got {norm!r}")
     diff = np.abs(x.X[:, None, :] - y.X[None, :, :])
     stack = np.transpose(diff**q, (2, 0, 1)).copy()
-    if norm in ("per_feature", "per_pair"):
+    if norm == "per_feature":
         for r in range(ctx.d):
             mx = stack[r].max(initial=0.0)
             if mx > 0.0:

@@ -67,8 +67,9 @@ def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.
     """K[i, j] = sum_{i' j'} |C1[i, i'] - C2[j, j']|^q T[i', j'] (direct).
 
     The quartic value is <K, T> and its gradient is 2 K.  Work is blocked
-    over rows of C1 so that a block holds at most 2**22 doubles (32 MiB), or
-    one row of n * m * m doubles when that is larger.
+    over rows of C1, and over columns of C2 when one row of n * m * m
+    doubles is too large, so that a block holds at most 2**22 doubles
+    (32 MiB).
     """
 
     n, m = T.shape
@@ -77,16 +78,19 @@ def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.
             f"direct contraction needs n*m <= {DIRECT_CONTRACTION_CAP}, got {n * m}"
         )
     K = np.empty((n, m))
-    block = max(1, 2**22 // (n * m * m))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        # diff has shape (block, m, n, m): |C1[i, i'] - C2[j, j']|^q, built
-        # in place so the block is the only array of that size.
-        diff = C1[start:stop, None, :, None] - C2[None, :, None, :]
-        np.abs(diff, out=diff)
-        diff **= q
-        K[start:stop] = np.einsum("bjkl,kl->bj", diff, T)
-        del diff  # free the block before the next one is allocated
+    rows = max(1, 2**22 // (n * m * m))
+    cols = m if n * m * m <= 2**22 else 2**22 // (n * m)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        for c0 in range(0, m, cols):
+            c1 = min(m, c0 + cols)
+            # diff has shape (rows, cols, n, m): |C1[i, i'] - C2[j, j']|^q,
+            # built in place so the block is the only array of that size.
+            diff = C1[r0:r1, None, :, None] - C2[None, c0:c1, None, :]
+            np.abs(diff, out=diff)
+            diff **= q
+            K[r0:r1, c0:c1] = np.einsum("bjkl,kl->bj", diff, T)
+            del diff  # free the block before the next one is allocated
     return K
 
 

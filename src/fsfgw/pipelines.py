@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    connected_components,
+    shortest_path,
+)
 
 from .core import (
     FsFgwConfig,
@@ -108,29 +111,6 @@ class InvalidObjectFile(FsfgwError):
 # graph helpers
 
 
-def _bfs_order(neighbors: list[list[int]], source: int) -> list[int]:
-    seen = [False] * len(neighbors)
-    seen[source] = True
-    order = [source]
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for other in neighbors[node]:
-            if not seen[other]:
-                seen[other] = True
-                order.append(other)
-                queue.append(other)
-    return order
-
-
-def _neighbor_lists(edges: Sequence[tuple[int, int]], n: int) -> list[list[int]]:
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    return neighbors
-
-
 def geodesic_structure(
     adjacency: Sequence[tuple[int, int]], nodes: Sequence[int]
 ) -> np.ndarray:
@@ -158,8 +138,10 @@ def geodesic_structure(
     graph = csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(k, k))
     C = shortest_path(graph, directed=False, unweighted=True)
     if not np.all(np.isfinite(C)):
-        comps = _components(_neighbor_lists(edges, k))
-        named = [sorted(nodes[i] for i in comp) for comp in comps]
+        count, labels = connected_components(graph, directed=False)
+        named = [
+            sorted(nodes[i] for i in np.flatnonzero(labels == c)) for c in range(count)
+        ]
         raise DisconnectedDistrict(
             f"induced subgraph on {k} nodes splits into components {named}"
         )
@@ -167,27 +149,6 @@ def geodesic_structure(
     if mx > 0.0:
         C /= mx
     return C
-
-
-def _components(neighbors: list[list[int]]) -> list[list[int]]:
-    n = len(neighbors)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            node = queue.popleft()
-            comp.append(node)
-            for other in neighbors[node]:
-                if not seen[other]:
-                    seen[other] = True
-                    queue.append(other)
-        comps.append(comp)
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +191,21 @@ def _sample_geometric_graph(rng: np.random.Generator, n: int, radius: float):
         delta = pts[:, None, :] - pts[None, :, :]
         close = (delta**2).sum(axis=2) <= radius**2
         np.fill_diagonal(close, False)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if close[i, j]]
-        neighbors = _neighbor_lists(edges, n)
-        comps = _components(neighbors)
-        largest = max(comps, key=len)
-        if len(largest) >= 0.9 * n:
-            keep = set(largest)
-            order = _bfs_order(neighbors, min(largest))
-            order = [v for v in order if v in keep]
+        graph = csr_matrix(close)
+        _, labels = connected_components(graph, directed=False)
+        sizes = np.bincount(labels)
+        largest = int(np.argmax(sizes))  # first maximum: lowest-numbered component
+        if sizes[largest] >= 0.9 * n:
+            source = int(np.flatnonzero(labels == largest)[0])
+            order = breadth_first_order(
+                graph, source, directed=False, return_predecessors=False
+            )
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if close[i, j]]
             return order, edges
     raise DisconnectedAfterRetries(
         f"no component with >= {0.9 * n:.0f} of {n} nodes in "
         f"{RESAMPLE_ATTEMPTS} samples at radius {radius}"
     )
-
-
-def _trimmed_structure(order: list[int], edges, size: int) -> np.ndarray:
-    kept = order[:size]
-    return geodesic_structure(edges, kept)
 
 
 def generate_synthetic_pair(
@@ -266,8 +224,8 @@ def generate_synthetic_pair(
     order1, edges1 = _sample_geometric_graph(rng, spec.n, spec.geo_radius)
     order2, edges2 = _sample_geometric_graph(rng, spec.n, spec.geo_radius)
     size = min(len(order1), len(order2))
-    C1 = _trimmed_structure(order1, edges1, size)
-    C2 = _trimmed_structure(order2, edges2, size)
+    C1 = geodesic_structure(edges1, order1[:size])
+    C2 = geodesic_structure(edges2, order2[:size])
 
     X = rng.normal(0.0, 1.0, size=(size, spec.d))
     Y = rng.normal(0.0, 1.0, size=(size, spec.d))
@@ -814,8 +772,9 @@ def load_plan_csv(
             if row[0] in seen:
                 raise PrecinctUniverseMismatch(f"{path}: duplicate precinct {row[0]!r}")
             seen[row[0]] = int(row[1])
+    universe = set(graph.precinct_ids)
     missing = [pid for pid in graph.precinct_ids if pid not in seen]
-    extra = [pid for pid in seen if pid not in set(graph.precinct_ids)]
+    extra = [pid for pid in seen if pid not in universe]
     if missing or extra:
         raise PrecinctUniverseMismatch(
             f"{path}: plan does not cover the precinct universe "

@@ -25,12 +25,14 @@ from .core import (
     FsFgwConfig,
     FsfgwError,
     InvalidConfig,
+    InvalidPartition,
     ShapeMismatch,
     SolveResult,
     StructuredObject,
     SuppressionWeights,
     TraceEntry,
     TransportPlan,
+    check_partition,
     feature_cost_stack,
     feature_scores,
     validate_pair,
@@ -58,10 +60,6 @@ logger = logging.getLogger("fsfgw")
 
 class MissingLambda(FsfgwError):
     """A lasso or ridge update was requested without a regularization level."""
-
-
-class InvalidPartition(FsfgwError):
-    """Groups do not partition the feature index set."""
 
 
 class InvalidFraction(FsfgwError):
@@ -137,25 +135,13 @@ def update_weights_simplex(inp: WeightUpdateInput) -> SuppressionWeights:
     return SuppressionWeights(w=w, mode="simplex")
 
 
-def _check_partition(groups, d: int) -> tuple[tuple[int, ...], ...]:
-    if not groups:
-        raise InvalidPartition("a group partition is required")
-    groups = tuple(tuple(int(i) for i in g) for g in groups)
-    flat = sorted(i for g in groups for i in g)
-    if any(len(g) == 0 for g in groups) or flat != list(range(d)):
-        raise InvalidPartition(
-            f"groups must partition the {d} feature indices exactly once"
-        )
-    return groups
-
-
 def update_weights_group_simplex(inp: WeightUpdateInput) -> SuppressionWeights:
     """All-ones on the group with the largest mean score, zero elsewhere.
 
     Ties between group means resolve to the lowest group index.
     """
 
-    groups = _check_partition(inp.groups, inp.d)
+    groups = check_partition(inp.groups, inp.d)
     means = np.array([inp.scores[list(g)].mean() for g in groups])
     hot = int(np.argmax(means))
     w = np.zeros(inp.d)
@@ -246,7 +232,7 @@ def _solve_once(
     d = ctx.d
     alpha, q = config.alpha, config.q
     mode = config.mode
-    groups = _check_partition(config.groups, d) if mode == "group_simplex" else None
+    groups = check_partition(config.groups, d) if mode == "group_simplex" else None
     # Groupwise scoring weighs each feature by 1 / |its group| (group means).
     inv_size = 1.0 / _group_sizes(groups, d) if groups is not None else np.ones(d)
 

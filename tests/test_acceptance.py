@@ -411,7 +411,7 @@ def test_12_planted_plan_localization(capsys):
     )
     plan_p = RedistrictingPlan(plan_id="p", assignment=assign_p)
     plan_q = RedistrictingPlan(plan_id="q", assignment=assign_q)
-    config = FsFgwConfig(mode="lasso", lam=0.05, feature_norm="per_pair")
+    config = FsFgwConfig(mode="lasso", lam=0.05)
     comparison = compare_plans(graph, plan_p, plan_q, config)
 
     failures = []
@@ -446,9 +446,7 @@ def test_13_metric_properties(capsys):
                 X=rng.normal(size=(n, 3)),
             )
         )
-    config = FsFgwConfig(
-        mode="lasso", lam=0.1, q=1.0, restarts=3, feature_norm="per_pair"
-    )
+    config = FsFgwConfig(mode="lasso", lam=0.1, q=1.0, restarts=3)
     cache: dict[tuple[int, int], float] = {}
 
     def dist(i: int, j: int) -> float:

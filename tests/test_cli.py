@@ -1,12 +1,14 @@
 """End-to-end command-line runs through main() with temp directories."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from fsfgw.cli import main
+from fsfgw.cli import _build_parser, main
 from fsfgw.core import StructuredObject
 from fsfgw.pipelines import structured_object_to_dict
 
@@ -182,6 +184,25 @@ class TestSolveValidationErrors:
     def test_usage_error_from_the_parser(self, capsys):
         assert main(["solve"]) == 2
         capsys.readouterr()
+
+    def test_removed_norm_is_a_usage_error(self, tmp_path, capsys):
+        x, y = self.write_pair(tmp_path)
+        code = main(["solve", str(x), str(y), "--norm", "per_pair",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def test_readme_quickstart_lines_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    block = text.split("## CLI quickstart", 1)[1].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("fsfgw ")]
+    assert len(lines) >= 8
+    parser = _build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 class TestSyntheticCommands:

@@ -12,6 +12,7 @@ from fsfgw.core import (
     FsFgwConfig,
     InvalidConfig,
     InvalidMeasure,
+    InvalidPartition,
     ShapeMismatch,
     StructuredObject,
     SuppressionWeights,
@@ -175,6 +176,11 @@ class TestFsFgwConfig:
             FsFgwConfig(mode="group_simplex")
         with pytest.raises(InvalidConfig):
             FsFgwConfig(mode="lasso", lam=1.0, groups=((0,),))
+        # Groups must partition 0..max index at construction time.
+        assert issubclass(InvalidPartition, InvalidConfig)
+        for groups in (((0,), (2,)), ((0, 1), ()), ((0, 1), (1,)), ((-1, 0),)):
+            with pytest.raises(InvalidPartition):
+                FsFgwConfig(mode="group_simplex", groups=groups)
 
     def test_parameter_ranges(self):
         with pytest.raises(InvalidConfig):
@@ -236,14 +242,6 @@ class TestFeatureCostStack:
             assert np.allclose(stack[r], raw / raw.max(), atol=1e-15)
             assert stack[r].max() == pytest.approx(1.0, abs=1e-15)
 
-    def test_norm_modes_share_the_rescale(self):
-        rng = np.random.default_rng(5)
-        x = make_object(rng, 4, 3)
-        y = make_object(rng, 5, 3)
-        a = feature_cost_stack(x, y, q=2.0, norm="per_feature")
-        b = feature_cost_stack(x, y, q=2.0, norm="per_pair")
-        assert np.array_equal(a, b)
-
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(6)
         x = make_object(rng, 4, 3)
@@ -258,6 +256,8 @@ class TestFeatureCostStack:
         x = make_object(rng, 3, 2)
         with pytest.raises(InvalidConfig):
             feature_cost_stack(x, x, q=2.0, norm="global")
+        with pytest.raises(InvalidConfig):
+            feature_cost_stack(x, x, q=2.0, norm="per_pair")
         with pytest.raises(InvalidConfig):
             feature_cost_stack(x, x, q=0.5)
 

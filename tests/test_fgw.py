@@ -115,6 +115,28 @@ class TestGwValue:
             cell = 2.0 * np.sum(np.abs(C1[i][:, None] - C2[j][None, :]) * T)
             assert G[i, j] == pytest.approx(cell, rel=1e-12)
 
+    def test_thin_contraction_memory_is_bounded(self):
+        # At n = 2, m = 2000 one row of the difference tensor holds
+        # n * m * m = 8e6 doubles (64 MB); blocks over columns of C2 keep
+        # every block at most 2**22 doubles.
+        n, m = 2, 2000
+        rng = np.random.default_rng(12)
+        C1 = oracles.random_structure(rng, n)
+        C2 = oracles.random_structure(rng, m)
+        T = rng.uniform(size=(n, m))
+        T /= T.sum()
+        tracemalloc.start()
+        try:
+            G = gw_gradient(T, C1, C2, q=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        # The unblocked contraction, one full row at a time.
+        for i in range(n):
+            row = np.einsum("jkl,kl->j", np.abs(C1[i, None, :, None] - C2[:, None, :]), T)
+            np.testing.assert_allclose(G[i], 2.0 * row, rtol=1e-12, atol=0.0)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             gw_value(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)))

@@ -1,5 +1,6 @@
 """Synthetic benchmarks, pairwise matrices, clustering, districts, loaders."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -107,6 +108,29 @@ class TestGenerateSyntheticPair:
         x2, y2, _ = generate_synthetic_pair(spec)
         assert np.array_equal(x1.X, x2.X)
         assert np.array_equal(y1.C, y2.C)
+
+    @pytest.mark.parametrize(
+        "spec, size, digest",
+        [
+            (SyntheticSpec(), 40, "a5e6a0a78fc33eb0"),
+            (SyntheticSpec(n=50, d=20, k=5, seed=3), 50, "75d69cbe4eb84e3f"),
+            (SyntheticSpec(n=12, d=3, k=1, geo_radius=0.5, seed=7), 12, "a74724baf40db99d"),
+            # Sparse graphs whose largest component is trimmed below n.
+            (SyntheticSpec(n=60, d=3, k=1, geo_radius=0.17, seed=4), 54, "b6918b71ae59dda8"),
+            (SyntheticSpec(n=40, d=3, k=1, geo_radius=0.2, seed=3), 36, "aaba5a3134383dbe"),
+        ],
+    )
+    def test_pinned_node_order(self, spec, size, digest):
+        """The kept nodes and their order (BFS from the lowest node of the
+        first largest component) fix C and the number of rows drawn for X.
+        These digests pin both to recorded values, on which the benchmark
+        references also depend."""
+        x, y, _ = generate_synthetic_pair(spec)
+        h = hashlib.sha256()
+        for arr in (x.C, x.X, y.C, y.X):
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        assert x.n == size
+        assert h.hexdigest()[:16] == digest
 
     def test_spec_validation(self):
         with pytest.raises(InvalidConfig):
