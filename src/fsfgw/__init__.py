@@ -87,6 +87,7 @@ from .suppression import (
 )
 from .transport import (
     Infeasible,
+    InvalidBasis,
     LpSolution,
     NumericalFailure,
     line_search_quadratic,

@@ -116,7 +116,7 @@ def _load_groups(path: str | None):
         doc = json.load(fh)
     if not isinstance(doc, list) or not all(isinstance(g, list) for g in doc):
         raise InvalidConfig(f"{path}: groups file must be a JSON list of index lists")
-    return tuple(tuple(int(i) for i in g) for g in doc)
+    return tuple(tuple(g) for g in doc)
 
 
 def _resolve_level(mode: str, lam, fraction):

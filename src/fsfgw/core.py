@@ -11,6 +11,7 @@ instances are safe to share across threads and worker processes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -212,7 +213,8 @@ def check_partition(
     groups: Sequence[Sequence[int]] | None, d: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Check that nonempty ``groups`` cover the indices 0..d-1 exactly once
-    and return them as tuples of ints.
+    and return them as tuples of ints.  Indices must be integers (numpy
+    integers too); a float such as 0.7 or 1.0 is rejected, not rounded.
 
     ``d`` defaults to the largest index plus one, which is what a
     configuration can check before the feature count is known.
@@ -220,7 +222,10 @@ def check_partition(
 
     if not groups:
         raise InvalidPartition("a group partition is required")
-    groups = tuple(tuple(int(i) for i in g) for g in groups)
+    try:
+        groups = tuple(tuple(operator.index(i) for i in g) for g in groups)
+    except TypeError:
+        raise InvalidPartition("groups must be lists of integer feature indices") from None
     flat = sorted(i for g in groups for i in g)
     if d is None:
         d = flat[-1] + 1 if flat else 0

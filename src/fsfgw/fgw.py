@@ -12,10 +12,12 @@ the direct contraction, which is only permitted up to n * m = 10,000.
 
 ``solve_fgw`` minimizes (1 - alpha) <M_eff, T> + alpha GW(T) over U(a, b)
 by conditional gradient: each iteration solves an exact transport LP on
-the current gradient, then takes the exact quadratic line-search step
-(q = 2) or an Armijo backtracking step (q != 2).  Steps are accepted only
-when they strictly decrease the objective, so the iterate sequence is
-monotone and a converged warm start is returned unchanged.
+the current gradient, warm-started from the previous LP's basis (the
+marginals never change within a solve), then takes the exact quadratic
+line-search step (q = 2) or an Armijo backtracking step (q != 2).  Steps
+are accepted only when they strictly decrease the objective, so the
+iterate sequence is monotone and a converged warm start is returned
+unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FsfgwError, ShapeMismatch, TransportPlan
-from .transport import line_search_quadratic, solve_emd
+from .transport import Basis, line_search_quadratic, solve_emd
 
 __all__ = [
     "InstanceTooLarge",
@@ -186,10 +188,16 @@ class FgwProblem:
 
 
 class FgwSolve(NamedTuple):
+    """The final plan and objective, the CG iterations, the objective
+    trace, the last LP basis (None on the assignment route), and the sum
+    of the LP pivots."""
+
     plan: TransportPlan
     objective: float
     cg_iters: int
     trace: tuple[float, ...] = ()
+    basis: Basis | None = None
+    lp_pivots: int = 0
 
 
 def fgw_objective(plan: TransportPlan | np.ndarray, problem: FgwProblem) -> float:
@@ -217,6 +225,7 @@ def solve_fgw(
     init: TransportPlan | np.ndarray | None = None,
     cg_max_iter: int = 200,
     cg_tol: float = 1e-9,
+    basis: Basis | None = None,
 ) -> FgwSolve:
     """Conditional-gradient minimization of the fused objective over U(a, b).
 
@@ -224,6 +233,13 @@ def solve_fgw(
     Stops when the candidate step's relative objective decrease falls
     below ``cg_tol`` (the candidate is then discarded, so a converged warm
     start is returned bit-identically) or after ``cg_max_iter`` iterations.
+
+    Each LP starts from the basis the previous one returned, the first
+    from ``basis`` (an ``FgwSolve.basis`` for the same marginals) or cold.
+    The result is a function of (problem, init, basis): on degenerate
+    gradients a warm LP may pick a different optimal vertex than a cold
+    one, so the CG path can differ from a cold one's while every LP value
+    is the same.
     """
 
     alpha, q = problem.alpha, problem.q
@@ -241,10 +257,14 @@ def solve_fgw(
     obj = fgw_objective(T, problem)
     trace = [obj]
     iters = 0
+    pivots = 0
     for _ in range(cg_max_iter):
         iters += 1
         grad = (1.0 - alpha) * problem.M_eff + alpha * gw_gradient(T, problem.C1, problem.C2, q)
-        vertex = solve_emd(grad, a, b).plan.T
+        lp = solve_emd(grad, a, b, basis=basis)
+        basis = lp.basis
+        pivots += lp.iterations
+        vertex = lp.plan.T
         direction = vertex - T
         slope = float(np.sum(grad * direction))
         if slope >= 0.0:
@@ -274,4 +294,11 @@ def solve_fgw(
         trace.append(obj)
 
     plan = TransportPlan(T=T, row_marginal=a, col_marginal=b)
-    return FgwSolve(plan=plan, objective=obj, cg_iters=iters, trace=tuple(trace))
+    return FgwSolve(
+        plan=plan,
+        objective=obj,
+        cg_iters=iters,
+        trace=tuple(trace),
+        basis=basis,
+        lp_pivots=pivots,
+    )

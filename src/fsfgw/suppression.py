@@ -9,7 +9,10 @@ regularizer admits an exact weight update:
 * group simplex:               one group, largest group-mean score
 
 ``solve_fsfgw`` alternates these updates with warm-started conditional
-gradient transport solves.  The groupwise objective weighs each feature
+gradient transport solves: each outer iteration starts from the previous
+plan and from the previous LP basis.  The basis never leaves one
+alternating solve (restarts start cold), so a solve is a function of
+(x, y, config).  The groupwise objective weighs each feature
 score by the reciprocal of its group size (group-mean form), in both the
 update and the reported objective.
 """
@@ -35,7 +38,6 @@ from .core import (
     check_partition,
     feature_cost_stack,
     feature_scores,
-    validate_pair,
 )
 from .fgw import FgwProblem, gw_value, solve_fgw
 from .transport import random_coupling
@@ -223,13 +225,13 @@ def _regularizer(w: np.ndarray, mode: str, lam: float) -> float:
 
 
 def _solve_once(
-    ctx,
+    x: StructuredObject,
+    y: StructuredObject,
     stack: np.ndarray,
     config: FsFgwConfig,
     init: np.ndarray | None,
 ) -> SolveResult:
-    x, y = ctx.x, ctx.y
-    d = ctx.d
+    d = stack.shape[0]
     alpha, q = config.alpha, config.q
     mode = config.mode
     groups = check_partition(config.groups, d) if mode == "group_simplex" else None
@@ -250,6 +252,9 @@ def _solve_once(
     )
     plan0 = solve_fgw(problem, init, config.cg_max_iter, config.cg_tol)
     T = plan0.plan.T
+    # The LP marginals are x.a and y.a throughout, so each transport solve
+    # starts from the last LP basis of the one before.
+    basis = plan0.basis
     scores = feature_scores(T, stack)
 
     if config.lam is not None:
@@ -272,7 +277,8 @@ def _solve_once(
         problem = FgwProblem(
             C1=x.C, C2=y.C, M_eff=effective_cost(w_new), alpha=alpha, q=q, a=x.a, b=y.a
         )
-        T_new = solve_fgw(problem, T, config.cg_max_iter, config.cg_tol).plan.T
+        solved = solve_fgw(problem, T, config.cg_max_iter, config.cg_tol, basis)
+        T_new, basis = solved.plan.T, solved.basis
         scores_new = feature_scores(T_new, stack)
         parts = objective_parts(scores_new, w_new, T_new)
         obj_new = sum(parts)
@@ -338,9 +344,9 @@ def solve_fsfgw(
     objective wins.
     """
 
-    ctx = validate_pair(x, y)
+    # feature_cost_stack validates the pair.
     stack = feature_cost_stack(x, y, q=config.q, norm=config.feature_norm)
-    best = _solve_once(ctx, stack, config, None)
+    best = _solve_once(x, y, stack, config, None)
     if config.restarts > 0:
         rng = np.random.default_rng(config.seed)
         flip = _flip_for_restarts(x, y)
@@ -348,7 +354,7 @@ def solve_fsfgw(
         for _ in range(config.restarts):
             drawn = random_coupling(first, second, rng)
             init = drawn.T.copy() if flip else drawn
-            candidate = _solve_once(ctx, stack, config, init)
+            candidate = _solve_once(x, y, stack, config, init)
             if candidate.objective < best.objective:
                 best = candidate
     return best

@@ -13,13 +13,20 @@ input:
   graph, entering arcs are picked by most negative reduced cost with
   lowest-flat-index tie-breaking, and after a fixed number of pivots the
   entering rule switches to Bland's lowest-index rule so termination is
-  guaranteed.
+  guaranteed.  It starts from the northwest corner, or from a basis that
+  an earlier call returned for the same marginals: a feasible basis stays
+  feasible when only the cost changes, so a warm start skips the pivots
+  that the cost change left in place (Ahuja, Magnanti & Orlin 1993,
+  *Network Flows*, ch. 11).  After each pivot only the subtree that the
+  leaving arc cuts off is re-hung and gets new potentials.
 
-Determinism: the same input always gives the same plan.  When costs are
-degenerate, which optimal vertex that is depends on the route.  The
-simplex breaks ties on the lowest flat cell index; the assignment route
-returns whichever permutation ``linear_sum_assignment`` picks, which is
-fixed for a given cost but follows no index rule.
+Determinism: the plan is a function of (cost, a, b, basis).  When costs
+are degenerate, which optimal vertex that is depends on the route and on
+the starting basis, but every one has the same value.  The simplex breaks
+ties on the lowest flat cell index, so a warm start may stop at a
+different optimal vertex than a cold start; the assignment route ignores
+any basis and returns whichever permutation ``linear_sum_assignment``
+picks, which is fixed for a given cost but follows no index rule.
 
 ``line_search_quadratic`` is the exact minimizer of a 1-D quadratic on
 [0, 1], used by the conditional-gradient solver.
@@ -32,11 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import FsfgwError, ShapeMismatch, TransportPlan
+from .core import MARGINAL_TOL, FsfgwError, ShapeMismatch, TransportPlan
 
 __all__ = [
     "Infeasible",
     "NumericalFailure",
+    "InvalidBasis",
     "LpSolution",
     "solve_emd",
     "line_search_quadratic",
@@ -58,17 +66,30 @@ class NumericalFailure(FsfgwError):
     """The pivoting loop exceeded its cycling guard."""
 
 
+class InvalidBasis(FsfgwError):
+    """A starting basis is not a feasible spanning tree for the marginals."""
+
+
+Basis = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class LpSolution:
-    """An optimal vertex plan, its objective value, and the pivot count.
+    """An optimal vertex plan, its objective value, the pivot count, and
+    the final basis.
 
     ``iterations`` counts network-simplex pivots; it is 0 when the
-    assignment route solved the LP.
+    assignment route solved the LP.  ``basis`` is the final spanning tree
+    as read-only ``(arc_row, arc_col, arc_flow)`` arrays of n + m - 1 arcs;
+    passed back to ``solve_emd`` with the same marginals it warm-starts the
+    next solve.  The plan is a function of (cost, a, b, basis).  The
+    assignment route returns no basis.
     """
 
     plan: TransportPlan
     value: float
     iterations: int
+    basis: Basis | None = None
 
 
 def line_search_quadratic(quad_coef: float, lin_coef: float) -> float:
@@ -112,18 +133,45 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     return arc_row[:k], arc_col[:k], arc_flow[:k]
 
 
+def _check_basis(basis: Basis, a: np.ndarray, b: np.ndarray):
+    """Writable copies of a starting basis, after checking that it has
+    n + m - 1 arcs inside the grid with nonnegative flows that carry the
+    marginals.  That the arcs form a tree is checked when it is hung."""
+
+    n, m = a.shape[0], b.shape[0]
+    arc_row = np.array(basis[0], dtype=np.int64)
+    arc_col = np.array(basis[1], dtype=np.int64)
+    arc_flow = np.array(basis[2], dtype=float)
+    k = n + m - 1
+    if any(part.shape != (k,) for part in (arc_row, arc_col, arc_flow)):
+        raise InvalidBasis(f"a basis for a {n}x{m} instance needs three arrays of {k} arcs")
+    if arc_row.min() < 0 or arc_row.max() >= n or arc_col.min() < 0 or arc_col.max() >= m:
+        raise InvalidBasis(f"basis arcs fall outside the {n}x{m} grid")
+    if not np.all(np.isfinite(arc_flow)) or arc_flow.min() < -MARGINAL_TOL:
+        raise InvalidBasis("basis flows must be finite and nonnegative")
+    row_err = np.abs(np.bincount(arc_row, arc_flow, n) - a).max()
+    col_err = np.abs(np.bincount(arc_col, arc_flow, m) - b).max()
+    if max(row_err, col_err) > MARGINAL_TOL:
+        raise InvalidBasis(
+            f"basis flows miss the marginals by {max(row_err, col_err):.3e} "
+            f"(tolerance {MARGINAL_TOL:g})"
+        )
+    return arc_row, arc_col, arc_flow
+
+
 def solve_emd(
     cost: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
     max_pivots: int | None = None,
+    basis: Basis | None = None,
 ) -> LpSolution:
     """Exact solution of the transportation LP min <cost, T> over U(a, b).
 
     Marginals are rescaled to a common sum (that of ``a``) before solving;
     an imbalance above 1e-7 raises ``Infeasible`` and anything below is
     absorbed into the largest entry of ``b``.  The returned plan is a
-    vertex of the polytope and is deterministic for a given input.
+    vertex of the polytope and a function of (cost, a, b, basis).
 
     Uniform square inputs (n = m, ``a`` constant, ``b`` constant) are
     solved as an assignment problem: the plan is a permutation matrix
@@ -132,6 +180,13 @@ def solve_emd(
     lowest-flat-index vertex.  All other inputs go through the network
     simplex, where ties in both the entering and the leaving choice break
     on the lowest flat cell index and ``iterations`` counts pivots.
+
+    ``basis`` is a spanning tree that an earlier call returned for the
+    same marginals; the simplex starts from it instead of the northwest
+    corner.  One that does not fit the marginals raises ``InvalidBasis``.
+    On degenerate costs a warm start may end at a different optimal vertex
+    than a cold start, with the same value.  The assignment route ignores
+    the basis.
     """
 
     cost = np.ascontiguousarray(cost, dtype=float)
@@ -167,55 +222,73 @@ def solve_emd(
         plan = TransportPlan(T=T, row_marginal=a, col_marginal=b)
         return LpSolution(plan=plan, value=float(np.dot(cost[rows, perm], a)), iterations=0)
 
-    arc_row, arc_col, arc_flow = _northwest_corner(a, b)
+    if basis is None:
+        arc_row, arc_col, arc_flow = _northwest_corner(a, b)
+    else:
+        arc_row, arc_col, arc_flow = _check_basis(basis, a, b)
     n_nodes = n + m
-    # Column nodes are offset by n; adjacency maps node -> incident basic arcs.
+    # Column nodes are offset by n.  Per basic arc: its flow, its cost, and
+    # the sum of its two end nodes (so one end gives the other).
+    flow = arc_flow.tolist()
+    flat = arc_row * m + arc_col  # flat cell index per basic arc
+    arc_cost = cost.ravel()[flat].tolist()
+    ends = (arc_row + n + arc_col).tolist()
     adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
-    for arc in range(arc_row.shape[0]):
-        adjacency[arc_row[arc]].append(arc)
-        adjacency[n + arc_col[arc]].append(arc)
+    for arc, (i, end_sum) in enumerate(zip(arc_row.tolist(), ends)):
+        adjacency[i].append(arc)
+        adjacency[end_sum - i].append(arc)
 
     if max_pivots is None:
         max_pivots = 200 * n_nodes + 1000
     bland_after = 20 * n_nodes + 200
 
-    u = np.zeros(n)
-    v = np.zeros(m)
-    parent = np.full(n_nodes, -1, dtype=np.int64)
-    parent_arc = np.full(n_nodes, -1, dtype=np.int64)
-    depth = np.zeros(n_nodes, dtype=np.int64)
-    flat = arc_row * m + arc_col  # flat cell index per basic arc
+    # Tree rooted at row node 0, and the node potentials (u, then v) with
+    # pot[0] = 0 and cost = pot[row] + pot[col] on every basic arc.
+    parent = [-1] * n_nodes
+    parent_arc = [-1] * n_nodes
+    depth = [0] * n_nodes
+    pot = [0.0] * n_nodes
+
+    def hang(root: int, above: int, arc: int) -> int:
+        """Hang the subtree holding ``root`` below node ``above`` through
+        ``arc`` (-1, -1 for the tree root) and return how many nodes it set.
+
+        Each node's potential is its parent's, subtracted from the cost of
+        the arc between them, so it is the cost along its unique tree path
+        from row node 0, whichever subtree is hung.  The walk stops after
+        n + m nodes, so a basis that is not a tree cannot make it loop.
+        """
+
+        parent[root] = above
+        parent_arc[root] = arc
+        if above >= 0:
+            depth[root] = depth[above] + 1
+            pot[root] = arc_cost[arc] - pot[above]
+        stack = [root]
+        placed = 0
+        while stack and placed < n_nodes:
+            node = stack.pop()
+            placed += 1
+            skip = parent_arc[node]
+            below = depth[node] + 1
+            here = pot[node]
+            for k in adjacency[node]:
+                if k != skip:
+                    other = ends[k] - node
+                    parent[other] = node
+                    parent_arc[other] = k
+                    depth[other] = below
+                    pot[other] = arc_cost[k] - here
+                    stack.append(other)
+        return placed + len(stack)
+
+    if hang(0, -1, -1) != n_nodes:
+        raise InvalidBasis("the basis arcs do not form a spanning tree")
 
     pivots = 0
     while True:
-        # Duals and tree structure by DFS from row node 0 (u[0] = 0).
-        parent[0] = -1
-        parent_arc[0] = -1
-        depth[0] = 0
-        u[0] = 0.0
-        stack = [0]
-        seen = np.zeros(n_nodes, dtype=bool)
-        seen[0] = True
-        while stack:
-            node = stack.pop()
-            for arc in adjacency[node]:
-                if node < n:
-                    other = n + arc_col[arc]
-                else:
-                    other = arc_row[arc]
-                if seen[other]:
-                    continue
-                seen[other] = True
-                parent[other] = node
-                parent_arc[other] = arc
-                depth[other] = depth[node] + 1
-                if other >= n:
-                    v[other - n] = cost[arc_row[arc], arc_col[arc]] - u[arc_row[arc]]
-                else:
-                    u[other] = cost[arc_row[arc], arc_col[arc]] - v[arc_col[arc]]
-                stack.append(other)
-
-        reduced = cost - u[:, None] - v[None, :]
+        duals = np.array(pot)
+        reduced = cost - duals[:n, None] - duals[None, n:]
         rflat = reduced.ravel()
         rflat[flat] = np.inf  # basic cells never re-enter
         if pivots < bland_after:
@@ -257,7 +330,7 @@ def solve_emd(
         leave_flat = -1
         for pos, arc in enumerate(cycle):
             if pos % 2 == 0:
-                f = arc_flow[arc]
+                f = flow[arc]
                 if f < theta - 1e-15 or (
                     abs(f - theta) <= 1e-15 and (leave_flat < 0 or flat[arc] < leave_flat)
                 ):
@@ -267,27 +340,40 @@ def solve_emd(
         theta = max(theta, 0.0)
         for pos, arc in enumerate(cycle):
             if pos % 2 == 0:
-                arc_flow[arc] -= theta
+                flow[arc] -= theta
             else:
-                arc_flow[arc] += theta
+                flow[arc] += theta
         leave = cycle[leave_pos]
 
         # Swap the leaving arc's slot over to the entering cell.
-        old_i, old_j = arc_row[leave], arc_col[leave]
+        old_i = int(arc_row[leave])
         adjacency[old_i].remove(leave)
-        adjacency[n + old_j].remove(leave)
+        adjacency[ends[leave] - old_i].remove(leave)
         arc_row[leave] = ent_i
         arc_col[leave] = ent_j
-        arc_flow[leave] = theta
+        flow[leave] = theta
         flat[leave] = ent
+        arc_cost[leave] = cost.item(ent)
+        ends[leave] = ent_i + n + ent_j
         adjacency[ent_i].append(leave)
         adjacency[n + ent_j].append(leave)
+        # Removing the leaving arc cuts off the subtree on its side of the
+        # cycle; only that subtree moves, now hung below the entering arc.
+        if leave_pos < len(up_from_col):
+            hang(n + ent_j, ent_i, leave)
+        else:
+            hang(ent_i, n + ent_j, leave)
 
+    arc_flow = np.array(flow)
     T = np.zeros((n, m))
     T[arc_row, arc_col] = np.maximum(arc_flow, 0.0)
     value = float(np.dot(cost[arc_row, arc_col], np.maximum(arc_flow, 0.0)))
     plan = TransportPlan(T=T, row_marginal=a, col_marginal=b)
-    return LpSolution(plan=plan, value=value, iterations=pivots)
+    for part in (arc_row, arc_col, arc_flow):
+        part.setflags(write=False)
+    return LpSolution(
+        plan=plan, value=value, iterations=pivots, basis=(arc_row, arc_col, arc_flow)
+    )
 
 
 def random_coupling(

@@ -162,6 +162,15 @@ class TestSolveValidationErrors:
                      "--out", str(tmp_path / "o")])
         self.assert_error_json(capsys, code, 2)
 
+    def test_non_integral_group_indices(self, tmp_path, capsys):
+        x, y = self.write_pair(tmp_path)
+        gpath = tmp_path / "groups.json"
+        gpath.write_text("[[0.7], [1.2], [2]]")
+        code = main(["solve", str(x), str(y), "--mode", "group_simplex",
+                     "--groups", str(gpath), "--out", str(tmp_path / "o")])
+        doc = self.assert_error_json(capsys, code, 2)
+        assert doc["error"] == "InvalidPartition"
+
     def test_missing_input_file(self, tmp_path, capsys):
         x, _ = self.write_pair(tmp_path)
         code = main(["solve", str(x), str(tmp_path / "absent.json"),

@@ -17,6 +17,7 @@ from fsfgw.core import (
     StructuredObject,
     SuppressionWeights,
     TransportPlan,
+    check_partition,
     feature_cost_stack,
     feature_scores,
     validate_pair,
@@ -181,6 +182,15 @@ class TestFsFgwConfig:
         for groups in (((0,), (2,)), ((0, 1), ()), ((0, 1), (1,)), ((-1, 0),)):
             with pytest.raises(InvalidPartition):
                 FsFgwConfig(mode="group_simplex", groups=groups)
+
+    def test_partition_indices_must_be_integers(self):
+        # A float index is rejected, not truncated to a valid partition.
+        for groups in ([[0.7], [1.2]], [[0.0], [1.0]], [[0, 1.5]], [0, 1]):
+            with pytest.raises(InvalidPartition):
+                check_partition(groups)
+        numpy_ints = [[np.int64(0), np.int32(2)], [np.uint8(1)]]
+        assert check_partition(numpy_ints, 3) == ((0, 2), (1,))
+        assert all(type(i) is int for g in check_partition(numpy_ints) for i in g)
 
     def test_parameter_ranges(self):
         with pytest.raises(InvalidConfig):

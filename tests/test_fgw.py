@@ -1,6 +1,7 @@
 """Structure-distortion quartic form and the conditional-gradient solver."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fsfgw.core import ShapeMismatch, StructuredObject, feature_cost_stack
+import fsfgw.fgw
 from fsfgw.fgw import (
     FgwProblem,
     InstanceTooLarge,
@@ -308,3 +310,31 @@ class TestSolveFgw:
         prob = random_problem(rng, 3, 3)
         with pytest.raises(ShapeMismatch):
             solve_fgw(prob, init=np.full((2, 2), 0.25))
+
+    def test_lp_pivots_sum_the_lp_iterations(self, monkeypatch):
+        pivots = []
+        real = fsfgw.fgw.solve_emd
+
+        def counting(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(fsfgw.fgw, "solve_emd", counting)
+        sol = solve_fgw(random_problem(np.random.default_rng(16), 9, 7))
+        assert sol.lp_pivots == sum(pivots) > 0
+        assert sol.basis is not None
+
+    def test_warm_basis_saves_pivots_on_an_outer_step(self):
+        # An outer step of the alternating solve changes only the feature
+        # cost, so the last LP basis stays feasible for the next solve.
+        rng = np.random.default_rng(17)
+        prob = random_problem(rng, 20, 24)
+        first = solve_fgw(prob)
+        shrink = rng.uniform(0.5, 1.0, prob.M_eff.shape)
+        step = replace(prob, M_eff=prob.M_eff * shrink)
+        cold = solve_fgw(step, first.plan)
+        warm = solve_fgw(step, first.plan, basis=first.basis)
+        assert warm.lp_pivots < cold.lp_pivots
+        start = fgw_objective(first.plan, step)
+        assert max(warm.objective, cold.objective) <= start + 1e-12

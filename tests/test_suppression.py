@@ -395,6 +395,38 @@ class TestSolveFsfgw:
         assert abs(fwd.objective - rev.objective) <= 1e-12
         assert np.allclose(fwd.weights.w, rev.weights.w, atol=1e-9)
 
+    def test_solve_does_not_depend_on_earlier_solves(self):
+        # The LP basis never outlives one alternating solve, so a solve is a
+        # function of (x, y, config) whatever ran before it.
+        rng = np.random.default_rng(14)
+        x, y, z = (make_object(rng, n, 3, uniform=False) for n in (7, 6, 7))
+        config = FsFgwConfig(mode="lasso", lam=0.1, restarts=2)
+        first = solve_fsfgw(x, y, config)
+        solve_fsfgw(z, y, config)
+        solve_fsfgw(x, z, config)
+        again = solve_fsfgw(x, y, config)
+        assert np.array_equal(first.plan.T, again.plan.T)
+        assert first.objective == again.objective
+        assert first.trace == again.trace
+
+    def test_pair_is_validated_once(self, monkeypatch):
+        import fsfgw.core
+        import fsfgw.suppression
+
+        calls = []
+        real = fsfgw.core.validate_pair
+
+        def counting(x, y):
+            calls.append(1)
+            return real(x, y)
+
+        monkeypatch.setattr(fsfgw.core, "validate_pair", counting)
+        monkeypatch.setattr(fsfgw.suppression, "validate_pair", counting, raising=False)
+        rng = np.random.default_rng(15)
+        x, y = make_object(rng, 5, 3), make_object(rng, 4, 3)
+        solve_fsfgw(x, y, FsFgwConfig(mode="lasso", lam=0.1, restarts=1))
+        assert len(calls) == 1
+
     def test_result_serializes_with_the_level_key(self):
         rng = np.random.default_rng(13)
         x = make_object(rng, 4, 3)

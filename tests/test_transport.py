@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fsfgw.core import MARGINAL_TOL, ShapeMismatch
+from fsfgw.core import MARGINAL_TOL, FsfgwError, ShapeMismatch
 from fsfgw.transport import (
     Infeasible,
+    InvalidBasis,
     NumericalFailure,
     line_search_quadratic,
     random_coupling,
@@ -159,6 +160,73 @@ class TestAssignmentRoute:
         assert np.count_nonzero(sol.plan.T) <= 2 * n - 1
         assert np.abs(sol.plan.T.sum(axis=1) - a).max() <= MARGINAL_TOL
         assert np.abs(sol.plan.T.sum(axis=0) - b).max() <= MARGINAL_TOL
+
+
+def masses_with_zeros(rng, k):
+    """A measure on k nodes with integer weights in 0..3, about a quarter
+    of them zero, and at least one positive."""
+
+    w = rng.integers(0, 4, k).astype(float)
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    return w / w.sum()
+
+
+class TestWarmBasis:
+    """A basis returned for one cost warm-starts the LP for another."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 60), m=st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_perturbed_tied_costs_match_lp(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        a = masses_with_zeros(rng, n)
+        b = masses_with_zeros(rng, m)
+        cost = rng.integers(0, 4, (n, m)).astype(float)
+        sol = solve_emd(cost, a, b)
+        if sol.basis is None:
+            # Uniform square marginals: the assignment route keeps no basis.
+            assert n == m and np.all(a == a[0]) and np.all(b == b[0])
+            return
+        for _ in range(2):
+            # Move about a third of the cells by one, staying in {0, ..., 3}.
+            step = rng.integers(-1, 2, (n, m)) * (rng.random((n, m)) < 0.3)
+            cost = np.clip(cost + step, 0.0, 3.0)
+            sol = solve_emd(cost, a, b, basis=sol.basis)
+            ref_value, _ = oracles.emd_lp(cost, a, b)
+            assert sol.value == pytest.approx(ref_value, abs=1e-12)
+            T = sol.plan.T
+            assert np.count_nonzero(T) <= n + m - 1
+            assert np.abs(T.sum(axis=1) - a).max() <= MARGINAL_TOL
+            assert np.abs(T.sum(axis=0) - b).max() <= MARGINAL_TOL
+
+    def test_basis_for_other_marginals_or_shape_rejected(self):
+        rng = np.random.default_rng(22)
+        a, b = oracles.random_measure(rng, 4), oracles.random_measure(rng, 5)
+        cost = rng.uniform(0.0, 1.0, (4, 5))
+        basis = solve_emd(cost, a, b).basis
+        assert issubclass(InvalidBasis, FsfgwError)
+        with pytest.raises(InvalidBasis):
+            solve_emd(cost, oracles.random_measure(rng, 4), b, basis=basis)
+        with pytest.raises(InvalidBasis):
+            solve_emd(cost.T, b, a, basis=basis)
+        with pytest.raises(InvalidBasis):
+            solve_emd(cost[:3], a[:3] / a[:3].sum(), b, basis=basis)
+
+    def test_basis_that_is_not_a_tree_rejected(self):
+        # Four arcs around the cycle r0-c0-r1-c1 carry the marginals, but
+        # they leave column 2 (of zero mass) unreached: not a spanning tree.
+        cycle = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.full(4, 0.25))
+        with pytest.raises(InvalidBasis):
+            solve_emd(np.ones((2, 3)), [0.5, 0.5], [0.5, 0.5, 0.0], basis=cycle)
+
+    def test_warm_start_from_the_optimal_basis_takes_no_pivots(self):
+        rng = np.random.default_rng(23)
+        a, b = oracles.random_measure(rng, 6), oracles.random_measure(rng, 9)
+        cost = rng.uniform(0.0, 1.0, (6, 9))
+        cold = solve_emd(cost, a, b)
+        warm = solve_emd(cost, a, b, basis=cold.basis)
+        assert cold.iterations > 0 and warm.iterations == 0
+        assert np.array_equal(warm.plan.T, cold.plan.T)
 
 
 class TestLineSearchQuadratic:
