@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Write perfbench results for every workload, untraced and traced, to BENCH_<tag>.json.
 
-    python3 scripts/bench_json.py TAG [--seed 1] [--seconds 30] [--root CHECKOUT]
+    python3 scripts/bench_json.py TAG [--root CHECKOUT]
+
+Every file uses seed 1 and 30 s runs, so any two BENCH files can be compared.
 """
 import argparse, json, subprocess, sys
 from pathlib import Path
 
+SEED = 1
+SECONDS = 30.0
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("tag")
-parser.add_argument("--seed", type=int, default=1)
-parser.add_argument("--seconds", type=float, default=30.0)
 parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="checkout to benchmark (default: this one)")
 args = parser.parse_args()
-doc = {"seed": args.seed, "seconds": args.seconds, "environment": None, "results": []}
+doc = {"seed": SEED, "seconds": SECONDS, "environment": None, "results": []}
 for workload in ("synth-uniform", "redistrict-cluster", "pairwise-q1-pool"):
     for trace in (0, 1):
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-               str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
+               str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
         out = subprocess.run(cmd, cwd=args.root, capture_output=True, text=True, check=True)
         env_line, result_line = out.stdout.strip().splitlines()[-2:]
         doc["environment"] = json.loads(env_line)["environment"]
