@@ -398,7 +398,8 @@ def _plan_distance_matrix(graph, plans, config, workers: int) -> np.ndarray:
         for i in range(N)
         for j in range(i + 1, N)
     ]
-    if workers > 1 and tasks:
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_plan_pair_task, tasks))
     else:

@@ -1,23 +1,23 @@
 """Fused Gromov-Wasserstein objective and its conditional-gradient solver.
 
-The structure term is the quartic form
+The structure term is GW(T) = <K(T), T> with the linear operator
 
-    GW(T) = sum_{i i' j j'} |C1[i, i'] - C2[j, j']|^q T[i, j] T[i', j']
+    K(T)[i, j] = sum_{i' j'} |C1[i, i'] - C2[j, j']|^q T[i', j']
 
-evaluated for arbitrary nonnegative T (not only couplings), so finite
-differences of ``gw_value`` match ``gw_gradient`` exactly.  For q = 2 the
-form factorizes into two marginal-weighted constants and one bilinear
-term, avoiding the O(n^2 m^2) contraction; other exponents fall back to
-the direct contraction, which is only permitted up to n * m = 10,000.
+defined for any real T, so the gradient of GW is 2 K(T).  For q = 2 K
+factorizes into two marginal-weighted vectors and one bilinear term,
+avoiding the O(n^2 m^2) contraction; other exponents fall back to the
+direct contraction, which is only permitted up to n * m = 10,000.
 
 ``solve_fgw`` minimizes (1 - alpha) <M_eff, T> + alpha GW(T) over U(a, b)
 by conditional gradient: each iteration solves an exact transport LP on
 the current gradient, warm-started from the previous LP's basis (the
-marginals never change within a solve), then takes the exact quadratic
-line-search step (q = 2) or an Armijo backtracking step (q != 2).  Steps
-are accepted only when they strictly decrease the objective, so the
-iterate sequence is monotone and a converged warm start is returned
-unchanged.
+marginals never change within a solve), and evaluates K once, on the
+direction D.  K's kernel is symmetric, so the objective along T + gamma D
+is an exact quadratic in gamma: the step is its exact minimizer (q = 2)
+or an Armijo backtracking step on the closed form (q != 2).  Steps are
+accepted only when they strictly decrease the objective, so the iterate
+sequence is monotone and a converged warm start is returned unchanged.
 """
 
 from __future__ import annotations
@@ -51,27 +51,30 @@ class InstanceTooLarge(FsfgwError):
     """Direct contraction requested beyond the n * m size cap."""
 
 
-def _check_gw_shapes(T: np.ndarray, C1: np.ndarray, C2: np.ndarray) -> None:
-    n, m = T.shape
-    if C1.shape != (n, n) or C2.shape != (m, m):
-        raise ShapeMismatch(
-            f"structure matrices {C1.shape}, {C2.shape} do not fit a {n}x{m} plan"
-        )
-
-
 def _as_matrix(plan: TransportPlan | np.ndarray) -> np.ndarray:
     if isinstance(plan, TransportPlan):
         return plan.T
     return np.asarray(plan, dtype=float)
 
 
-def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
-    """K[i, j] = sum_{i' j'} |C1[i, i'] - C2[j, j']|^q T[i', j'] (direct).
+def _checked(plan, C1, C2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    T = _as_matrix(plan)
+    C1 = np.asarray(C1, dtype=float)
+    C2 = np.asarray(C2, dtype=float)
+    n, m = T.shape
+    if C1.shape != (n, n) or C2.shape != (m, m):
+        raise ShapeMismatch(
+            f"structure matrices {C1.shape}, {C2.shape} do not fit a {n}x{m} plan"
+        )
+    return T, C1, C2
 
-    The quartic value is <K, T> and its gradient is 2 K.  Work is blocked
-    over rows of C1, and over columns of C2 when one row of n * m * m
-    doubles is too large, so that a block holds at most 2**22 doubles
-    (32 MiB).
+
+def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
+    """K(T) by direct contraction.
+
+    Work is blocked over rows of C1, and over columns of C2 when one row
+    of n * m * m doubles is too large, so that a block holds at most
+    2**22 doubles (32 MiB).
     """
 
     n, m = T.shape
@@ -96,17 +99,15 @@ def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.
     return K
 
 
-def _square_parts(T: np.ndarray, C1: np.ndarray, C2: np.ndarray):
-    """Factorized value and gradient of the quartic form for q = 2."""
+def _kernel(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
+    """K(T): factorized as (C1∘C1) r + (C2∘C2) c - 2 C1 T C2 for q = 2,
+    with r and c the row and column sums of T; direct otherwise."""
 
-    r = T.sum(axis=1)
-    c = T.sum(axis=0)
-    A_r = (C1 * C1) @ r
-    B_c = (C2 * C2) @ c
-    cross = C1 @ T @ C2
-    value = float(r @ A_r + c @ B_c - 2.0 * np.sum(cross * T))
-    grad = 2.0 * A_r[:, None] + 2.0 * B_c[None, :] - 4.0 * cross
-    return value, grad
+    if q == 2.0:
+        r = T.sum(axis=1)
+        c = T.sum(axis=0)
+        return ((C1 * C1) @ r)[:, None] + ((C2 * C2) @ c)[None, :] - 2.0 * (C1 @ T @ C2)
+    return _contraction(T, C1, C2, q)
 
 
 def gw_value(
@@ -115,16 +116,10 @@ def gw_value(
     C2: np.ndarray,
     q: float = 2.0,
 ) -> float:
-    """Exact value of the structure-distortion quartic form (>= 0)."""
+    """Exact value of the structure-distortion quartic form, <K(T), T> (>= 0)."""
 
-    T = _as_matrix(plan)
-    C1 = np.asarray(C1, dtype=float)
-    C2 = np.asarray(C2, dtype=float)
-    _check_gw_shapes(T, C1, C2)
-    if q == 2.0:
-        value, _ = _square_parts(T, C1, C2)
-    else:
-        value = float(np.sum(_contraction(T, C1, C2, q) * T))
+    T, C1, C2 = _checked(plan, C1, C2)
+    value = float(np.sum(_kernel(T, C1, C2, q) * T))
     # The form is a sum of nonnegative terms; cancellation in the
     # factorized path may leave a tiny negative residue.
     if -1e-9 < value < 0.0:
@@ -138,16 +133,12 @@ def gw_gradient(
     C2: np.ndarray,
     q: float = 2.0,
 ) -> np.ndarray:
-    """Gradient of ``gw_value`` with respect to the plan: 2 K(T)."""
+    """Gradient of ``gw_value`` with respect to the plan: 2 K(T).
 
-    T = _as_matrix(plan)
-    C1 = np.asarray(C1, dtype=float)
-    C2 = np.asarray(C2, dtype=float)
-    _check_gw_shapes(T, C1, C2)
-    if q == 2.0:
-        _, grad = _square_parts(T, C1, C2)
-        return grad
-    return 2.0 * _contraction(T, C1, C2, q)
+    Linear in the plan, which may be any real matrix (a CG direction)."""
+
+    T, C1, C2 = _checked(plan, C1, C2)
+    return 2.0 * _kernel(T, C1, C2, q)
 
 
 @dataclass(frozen=True)
@@ -209,12 +200,13 @@ def fgw_objective(plan: TransportPlan | np.ndarray, problem: FgwProblem) -> floa
     return (1.0 - problem.alpha) * feature + problem.alpha * structure
 
 
-def _armijo_step(
-    objective, T: np.ndarray, direction: np.ndarray, slope: float, obj: float
-) -> float:
+def _armijo_step(quad: float, slope: float) -> float:
+    """Largest gamma = 2^-k (k < 30) whose decrease along the quadratic
+    gamma * slope + gamma^2 * quad is a sufficient fraction of the slope's."""
+
     gamma = 1.0
     for _ in range(_ARMIJO_MAX_HALVINGS):
-        if objective(T + gamma * direction) <= obj + _ARMIJO_SLOPE * gamma * slope:
+        if gamma * slope + gamma * gamma * quad <= _ARMIJO_SLOPE * gamma * slope:
             return gamma
         gamma *= 0.5
     return 0.0
@@ -234,6 +226,11 @@ def solve_fgw(
     below ``cg_tol`` (the candidate is then discarded, so a converged warm
     start is returned bit-identically) or after ``cg_max_iter`` iterations.
 
+    Each iteration evaluates ``gw_gradient`` once, on the direction D;
+    the step, the decrease and the next gradient follow from it in closed
+    form, so the returned objective can differ from ``fgw_objective`` of
+    the plan by accumulated rounding.
+
     Each LP starts from the basis the previous one returned, the first
     from ``basis`` (an ``FgwSolve.basis`` for the same marginals) or cold.
     The result is a function of (problem, init, basis): on degenerate
@@ -243,6 +240,7 @@ def solve_fgw(
     """
 
     alpha, q = problem.alpha, problem.q
+    C1, C2, M = problem.C1, problem.C2, problem.M_eff
     a, b = problem.a, problem.b
     if init is None:
         T = np.outer(a, b)
@@ -254,43 +252,37 @@ def solve_fgw(
                 f"({a.shape[0]},), ({b.shape[0]},)"
             )
 
-    obj = fgw_objective(T, problem)
+    # G = 2 K(T) is the structure gradient; K's linearity carries it and
+    # the objective from step to step with one operator call on D each.
+    G = gw_gradient(T, C1, C2, q)
+    obj = (1.0 - alpha) * float(np.sum(M * T)) + alpha * 0.5 * float(np.sum(G * T))
     trace = [obj]
     iters = 0
     pivots = 0
     for _ in range(cg_max_iter):
         iters += 1
-        grad = (1.0 - alpha) * problem.M_eff + alpha * gw_gradient(T, problem.C1, problem.C2, q)
+        grad = (1.0 - alpha) * M + alpha * G
         lp = solve_emd(grad, a, b, basis=basis)
         basis = lp.basis
         pivots += lp.iterations
-        vertex = lp.plan.T
-        direction = vertex - T
+        direction = lp.plan.T - T
         slope = float(np.sum(grad * direction))
         if slope >= 0.0:
             # The vertex does not improve on T: stationary for this LP.
             iters -= 1
             break
-        if q == 2.0:
-            # Along T + g*D with D having zero marginals, the structure term
-            # is quadratic with curvature -2 alpha <C1 D C2, D>.
-            cross_d = problem.C1 @ direction @ problem.C2
-            quad = -2.0 * alpha * float(np.sum(cross_d * direction))
-            gamma = line_search_quadratic(quad, slope)
-        else:
-            gamma = _armijo_step(
-                lambda M: fgw_objective(M, problem), T, direction, slope, obj
-            )
+        G_d = gw_gradient(direction, C1, C2, q)
+        quad = 0.5 * alpha * float(np.sum(G_d * direction))
+        gamma = line_search_quadratic(quad, slope) if q == 2.0 else _armijo_step(quad, slope)
         if gamma <= 0.0:
             iters -= 1
             break
-        candidate = T + gamma * direction
-        new_obj = fgw_objective(candidate, problem)
-        decrease = obj - new_obj
+        decrease = -(gamma * slope + gamma * gamma * quad)
         if decrease <= cg_tol * max(1.0, abs(obj)):
             break
-        T = candidate
-        obj = new_obj
+        T = T + gamma * direction
+        G = G + gamma * G_d
+        obj -= decrease
         trace.append(obj)
 
     plan = TransportPlan(T=T, row_marginal=a, col_marginal=b)

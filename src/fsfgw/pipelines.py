@@ -352,9 +352,9 @@ def pairwise_distance_matrix(
     """Symmetric matrix of solve objectives over all unordered pairs.
 
     Each pair is solved once and mirrored; the diagonal is zero by
-    convention.  With ``workers > 1`` pairs are solved in separate
-    processes, reduced in fixed pair order so results are identical to the
-    serial run.
+    convention.  With ``workers > 1`` and more than one pair, pairs are
+    solved in min(workers, pairs) separate processes, reduced in fixed
+    pair order so results are identical to the serial run.
     """
 
     objects = list(objects)
@@ -364,7 +364,8 @@ def pairwise_distance_matrix(
         for i in range(N)
         for j in range(i + 1, N)
     ]
-    if workers > 1 and tasks:
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_solve_pair_task, tasks))
     else:
@@ -740,6 +741,8 @@ def load_precinct_graph(nodes_path: str | Path, edges_path: str | Path) -> Preci
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise InvalidObjectFile(f"{edges_path}: short row {row!r}")
             try:
                 edges.append((index[row[0]], index[row[1]]))
             except KeyError as exc:
@@ -769,6 +772,8 @@ def load_plan_csv(
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise InvalidObjectFile(f"{path}: short row {row!r}")
             if row[0] in seen:
                 raise PrecinctUniverseMismatch(f"{path}: duplicate precinct {row[0]!r}")
             seen[row[0]] = int(row[1])

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fsfgw.cli
+import fsfgw.pipelines
 import oracles
 from fsfgw.cli import _build_parser, main
 from fsfgw.core import StructuredObject
@@ -318,6 +320,18 @@ class TestPairwiseCommand:
             parallel / "pair_weights.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("count, sizes", [(2, []), (3, [3])])
+    def test_pool_is_capped_at_the_pair_count(
+        self, tmp_path, capsys, pool_sizes, count, sizes
+    ):
+        obj_dir = self.make_objects(tmp_path, count)
+        code = main(["pairwise", str(obj_dir), "--workers", "64",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        capsys.readouterr()
+        # A single pair is solved in-process; no pool is started for it.
+        assert pool_sizes == sizes
+
     def test_empty_directory(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -338,7 +352,65 @@ class TestPairwiseCommand:
         assert doc["error"] == "DimensionMismatch"
 
 
+def write_two_precinct_map(tmp_path, edge_rows="a,b", plan_rows="a,1\nb,2"):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("precinct_id,population,v0\na,1,0.1\nb,1,0.2\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"precinct_id_a,precinct_id_b\n{edge_rows}\n")
+    plan = tmp_path / "plan.csv"
+    plan.write_text(f"precinct_id,district\n{plan_rows}\n")
+    return nodes, edges, plan
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace both process pools by an in-process map that records the
+    requested pool size, so no worker process is started."""
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(fsfgw.pipelines, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(fsfgw.cli, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 class TestRedistrictCommands:
+    @pytest.mark.parametrize(
+        "rows", [{"plan_rows": "a,1\nb"}, {"edge_rows": "a"}], ids=["plan", "edges"]
+    )
+    def test_short_csv_row_is_a_validation_error(self, tmp_path, capsys, rows):
+        nodes, edges, plan = write_two_precinct_map(tmp_path, **rows)
+        code = main(
+            ["redistrict", "compare", str(nodes), str(edges), str(plan), str(plan),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"] == "InvalidObjectFile"
+
+    def test_pool_is_capped_at_the_plan_pairs(self, tmp_path, capsys, pool_sizes):
+        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        code = main(
+            ["redistrict", "matrix", str(nodes), str(edges), str(plan_p), str(plan_q),
+             str(plan_p), "--workers", "64", "--out", str(tmp_path / "o")]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert pool_sizes == [3]
+
     def test_compare_identical_plans(self, tmp_path, capsys):
         nodes, edges, plan_p, _ = write_grid_fixture(tmp_path)
         out = tmp_path / "out"

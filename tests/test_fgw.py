@@ -338,3 +338,60 @@ class TestSolveFgw:
         assert warm.lp_pivots < cold.lp_pivots
         start = fgw_objective(first.plan, step)
         assert max(warm.objective, cold.objective) <= start + 1e-12
+
+
+class TestLinearOperator:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 7),
+        m=st.integers(1, 7),
+        q=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        gamma=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_objective_is_exactly_quadratic_along_a_step(self, seed, n, m, q, gamma):
+        # GW is the quadratic form of a linear operator with a symmetric
+        # kernel, so the objective along T + gamma D has no cubic or
+        # higher term, whatever q is.
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, n, m, alpha=float(rng.uniform()), q=q)
+        T = oracles.ipf_coupling(prob.a, prob.b, rng)
+        D = oracles.ipf_coupling(prob.a, prob.b, rng) - T
+        grad = (1.0 - prob.alpha) * prob.M_eff + prob.alpha * gw_gradient(
+            T, prob.C1, prob.C2, q
+        )
+        quad = 0.5 * prob.alpha * float(np.sum(gw_gradient(D, prob.C1, prob.C2, q) * D))
+        expected = fgw_objective(T, prob) + gamma * float(np.sum(grad * D)) + gamma**2 * quad
+        assert fgw_objective(T + gamma * D, prob) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_one_operator_call_per_line_search(self, monkeypatch, q):
+        calls = {"gw_gradient": 0, "gw_value": 0}
+        lps = []
+        for name in calls:
+            real = getattr(fsfgw.fgw, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(fsfgw.fgw, name, counting)
+        real_emd = fsfgw.fgw.solve_emd
+
+        def recording(cost, *args, **kwargs):
+            sol = real_emd(cost, *args, **kwargs)
+            lps.append((cost, sol.plan.T))
+            return sol
+
+        monkeypatch.setattr(fsfgw.fgw, "solve_emd", recording)
+        prob = random_problem(np.random.default_rng(20), 8, 7, alpha=0.8, q=q)
+        sol = solve_fgw(prob)
+        counted = dict(calls)
+        assert sol.cg_iters >= 3 and len(lps) < 200
+        # Every LP but the last led to an accepted step; the last reached
+        # the line search unless its vertex was stationary.
+        cost, vertex = lps[-1]
+        reached = len(lps) - 1 + (float(np.sum(cost * (vertex - sol.plan.T))) < 0.0)
+        assert counted == {"gw_gradient": 1 + reached, "gw_value": 0}
+        assert sol.objective == pytest.approx(fgw_objective(sol.plan, prob), rel=1e-12)
+        assert all(b < a for a, b in zip(sol.trace, sol.trace[1:]))
