@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,7 @@ from .pipelines import (
     load_plan_csv,
     load_precinct_graph,
     load_structured_object,
+    pair_matrix,
     pairwise_distance_matrix,
     roc_sweep,
     separation_metric,
@@ -79,8 +79,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
+def _write_matrix(path: Path, ids: list[str], D: np.ndarray) -> None:
+    _write_csv(path, ["id"] + ids, [[pid] + [_g(v) for v in row] for pid, row in zip(ids, D)])
+
+
 def _config_dict(config: FsFgwConfig) -> dict:
-    doc = asdict(config)
+    doc = dataclasses.asdict(config)
     doc["lambda"] = doc.pop("lam")
     if doc["groups"] is not None:
         doc["groups"] = [list(g) for g in doc["groups"]]
@@ -119,20 +123,21 @@ def _load_groups(path: str | None):
     return tuple(tuple(g) for g in doc)
 
 
-def _resolve_level(mode: str, lam, fraction):
-    """Regularization level for a mode: simplex modes take none; lasso and
-    ridge fall back to a suppression fraction of 0.3 when neither flag was
-    given (passing both is rejected by the config)."""
+def _config_from_args(args, **flags) -> FsFgwConfig:
+    """The solver config of the parsed flags.
 
-    if mode in ("lasso", "ridge") and lam is None and fraction is None:
-        return None, 0.3
-    return lam, fraction
+    Keyword ``flags`` replace parsed values by name (``mode``, ``lam``,
+    ``fraction``, and ``groups``, which takes a partition instead of the
+    ``--groups`` file).  Lasso and ridge fall back to a suppression
+    fraction of 0.3 when neither level was given (passing both is rejected
+    by the config).
+    """
 
-
-def _config_from_args(args, groups=None) -> FsFgwConfig:
-    if groups is None:
-        groups = _load_groups(getattr(args, "groups", None))
-    lam, fraction = _resolve_level(args.mode, args.lam, args.fraction)
+    groups = flags.pop("groups") if "groups" in flags else _load_groups(args.groups)
+    args = argparse.Namespace(**{**vars(args), **flags})
+    lam, fraction = args.lam, args.fraction
+    if args.mode in ("lasso", "ridge") and lam is None and fraction is None:
+        fraction = 0.3
     return FsFgwConfig(
         mode=args.mode,
         alpha=args.alpha,
@@ -269,34 +274,27 @@ def cmd_synthetic_delta_sweep(args) -> int:
         if mode not in MODES:
             raise InvalidConfig(f"unknown mode {mode!r} in --modes")
     deltas = _parse_deltas(args.deltas)
+    spec = _synthetic_spec(args)
     groups = _load_groups(args.groups)
+    if groups is None:
+        groups = _default_groups(spec.d, max(spec.k, 1))
     out = _out_dir(args)
+    # The level flags apply to lasso and ridge only, and groups to
+    # group_simplex only, so one flag set sweeps every mode.
+    configs = [
+        _config_from_args(
+            args,
+            mode=mode,
+            lam=args.lam if mode in ("lasso", "ridge") else None,
+            fraction=args.fraction if mode in ("lasso", "ridge") else None,
+            groups=groups if mode == "group_simplex" else None,
+        )
+        for mode in modes
+    ]
     rows = []
     for delta in deltas:
-        spec = SyntheticSpec(
-            n=args.n, d=args.d, k=args.k, delta=delta, geo_radius=args.radius, seed=args.seed
-        )
-        x, y, diff = generate_synthetic_pair(spec)
-        for mode in modes:
-            mode_groups = groups
-            if mode == "group_simplex" and mode_groups is None:
-                mode_groups = _default_groups(spec.d, max(spec.k, 1))
-            lam, fraction = _resolve_level(
-                mode,
-                args.lam if mode in ("lasso", "ridge") else None,
-                args.fraction if mode in ("lasso", "ridge") else None,
-            )
-            config = FsFgwConfig(
-                mode=mode,
-                alpha=args.alpha,
-                q=args.q,
-                lam=lam,
-                suppression_fraction=fraction,
-                groups=mode_groups if mode == "group_simplex" else None,
-                feature_norm=args.norm,
-                max_outer_iter=args.max_outer_iter,
-                seed=args.seed,
-            )
+        x, y, diff = generate_synthetic_pair(dataclasses.replace(spec, delta=delta))
+        for mode, config in zip(modes, configs):
             result = solve_fsfgw(x, y, config)
             sep = separation_metric(result.weights, diff)
             rows.append([_g(delta), mode, _g(sep)])
@@ -337,9 +335,7 @@ def cmd_pairwise(args) -> int:
     config = _config_from_args(args)
     D, records = pairwise_distance_matrix(objects, config, workers=args.workers)
     out = _out_dir(args)
-    header = ["id"] + ids
-    rows = [[ids[i]] + [_g(v) for v in D[i]] for i in range(len(ids))]
-    _write_csv(out / "distances.csv", header, rows)
+    _write_matrix(out / "distances.csv", ids, D)
     names = objects[0].feature_names or [f"f{r}" for r in range(d0)]
     wrows = [
         [ids[rec.i], ids[rec.j]] + [_g(w) for w in rec.result.weights.w] for rec in records
@@ -350,16 +346,13 @@ def cmd_pairwise(args) -> int:
     return 0
 
 
-def _load_redistrict_inputs(args):
-    graph = load_precinct_graph(args.nodes, args.edges)
-    plans = [load_plan_csv(p, graph) for p in args.plans]
-    return graph, plans
+def _load_plans(nodes, edges, plan_paths):
+    graph = load_precinct_graph(nodes, edges)
+    return graph, [load_plan_csv(p, graph) for p in plan_paths]
 
 
 def cmd_redistrict_compare(args) -> int:
-    graph = load_precinct_graph(args.nodes, args.edges)
-    plan_p = load_plan_csv(args.plan_p, graph)
-    plan_q = load_plan_csv(args.plan_q, graph)
+    graph, (plan_p, plan_q) = _load_plans(args.nodes, args.edges, [args.plan_p, args.plan_q])
     config = _config_from_args(args)
     comparison = compare_plans(graph, plan_p, plan_q, config)
     out = _out_dir(args)
@@ -378,82 +371,50 @@ def cmd_redistrict_compare(args) -> int:
         out,
         args.command_line,
         config,
-        [str(args.nodes), str(args.edges), str(args.plan_p), str(args.plan_q)],
+        [args.nodes, args.edges, args.plan_p, args.plan_q],
         args.seed,
     )
     print(f"total_distance {_g(comparison.total_distance)}")
     return 0
 
 
-def _plan_pair_task(task):
-    i, j, graph, plan_i, plan_j, config = task
-    comparison = compare_plans(graph, plan_i, plan_j, config)
-    return i, j, comparison.total_distance
+def _plan_pair(i, j, plan_p, plan_q, context):
+    # compare_plans is looked up in this module at call time, where
+    # perfbench's tracer wraps it.
+    graph, config = context
+    return compare_plans(graph, plan_p, plan_q, config).total_distance, None
 
 
-def _plan_distance_matrix(graph, plans, config, workers: int) -> np.ndarray:
-    N = len(plans)
-    tasks = [
-        (i, j, graph, plans[i], plans[j], config)
-        for i in range(N)
-        for j in range(i + 1, N)
-    ]
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_plan_pair_task, tasks))
-    else:
-        results = [_plan_pair_task(t) for t in tasks]
-    D = np.zeros((N, N))
-    for i, j, value in results:
-        D[i, j] = D[j, i] = value
-    return D
+def _plan_matrix(args):
+    """Load the map and plans, compare every plan pair, and write
+    plan_distances.csv and the manifest; returns the output directory and
+    the distance matrix."""
 
-
-def _write_plan_matrix(out: Path, plans, D: np.ndarray) -> None:
-    ids = [p.plan_id for p in plans]
-    rows = [[ids[i]] + [_g(v) for v in D[i]] for i in range(len(ids))]
-    _write_csv(out / "plan_distances.csv", ["id"] + ids, rows)
-
-
-def cmd_redistrict_matrix(args) -> int:
-    graph, plans = _load_redistrict_inputs(args)
+    graph, plans = _load_plans(args.nodes, args.edges, args.plans)
     if len(plans) < 2:
         raise InvalidConfig("need at least two plans for a distance matrix")
     config = _config_from_args(args)
-    D = _plan_distance_matrix(graph, plans, config, args.workers)
+    D, _ = pair_matrix(_plan_pair, plans, (graph, config), args.workers)
     out = _out_dir(args)
-    _write_plan_matrix(out, plans, D)
+    _write_matrix(out / "plan_distances.csv", [p.plan_id for p in plans], D)
     _write_manifest(
-        out,
-        args.command_line,
-        config,
-        [str(args.nodes), str(args.edges)] + [str(p) for p in args.plans],
-        args.seed,
+        out, args.command_line, config, [args.nodes, args.edges, *args.plans], args.seed
     )
-    print(f"wrote {len(plans)}x{len(plans)} plan distance matrix")
+    return out, D
+
+
+def cmd_redistrict_matrix(args) -> int:
+    _, D = _plan_matrix(args)
+    print(f"wrote {len(D)}x{len(D)} plan distance matrix")
     return 0
 
 
 def cmd_redistrict_cluster(args) -> int:
-    graph, plans = _load_redistrict_inputs(args)
-    if len(plans) < 2:
-        raise InvalidConfig("need at least two plans to cluster")
-    config = _config_from_args(args)
-    D = _plan_distance_matrix(graph, plans, config, args.workers)
+    out, D = _plan_matrix(args)
     merges = complete_linkage_cluster(D)
-    out = _out_dir(args)
-    _write_plan_matrix(out, plans, D)
     with open(out / "dendrogram.json", "w") as fh:
         json.dump([{"a": m.a, "b": m.b, "height": m.height} for m in merges], fh, indent=2)
         fh.write("\n")
-    _write_manifest(
-        out,
-        args.command_line,
-        config,
-        [str(args.nodes), str(args.edges)] + [str(p) for p in args.plans],
-        args.seed,
-    )
     for m in merges:
         print(f"merge {m.a} {m.b} height {_g(m.height)}")
     return 0

@@ -6,6 +6,11 @@ geodesics and Gaussian features, a planted subset of which shifts in mean
 between the two objects.  Redistricting plans are compared district by
 district after an exact minimum-Hamming assignment, with population-
 normalized measures and hop-count geodesics inside each district.
+
+Every distance matrix, over objects (``pairwise_distance_matrix``) or over
+plans (the CLI's ``redistrict matrix`` and ``cluster``), runs through
+``pair_matrix``: one task per unordered pair, optionally in a process pool,
+reduced in fixed pair order so pool and serial runs give identical bits.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
     "RocSweep",
     "roc_sweep",
     "PairRecord",
+    "pair_matrix",
     "pairwise_distance_matrix",
     "Merge",
     "complete_linkage_cluster",
@@ -336,12 +342,46 @@ class PairRecord(NamedTuple):
     result: SolveResult
 
 
-def _solve_pair_task(args) -> PairRecord:
-    i, j, x, y, config = args
+def pair_matrix(task, items: Sequence, context, workers: int = 1):
+    """Apply ``task`` to every unordered pair of ``items``.
+
+    ``task(i, j, items[i], items[j], context)`` runs for each i < j in
+    row-major order and returns ``(distance, record)``.  With more than one
+    worker and more than one pair, the pairs run in min(workers, pairs)
+    processes, so ``task`` must be a picklable module-level function.
+    Results are reduced in pair order, so a pool run is bit-identical to a
+    serial run.  Returns the symmetric distance matrix (zero diagonal) and
+    the records in pair order.
+    """
+
+    items = list(items)
+    N = len(items)
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    args = (
+        [i for i, _ in pairs],
+        [j for _, j in pairs],
+        [items[i] for i, _ in pairs],
+        [items[j] for _, j in pairs],
+        [context] * len(pairs),
+    )
+    workers = min(workers, len(pairs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, *args))
+    else:
+        results = list(map(task, *args))
+    D = np.zeros((N, N))
+    for (i, j), (distance, _) in zip(pairs, results):
+        D[i, j] = D[j, i] = distance
+    return D, [record for _, record in results]
+
+
+def _solve_pair(i, j, x, y, config):
     try:
-        return PairRecord(i, j, solve_fsfgw(x, y, config))
+        result = solve_fsfgw(x, y, config)
     except FsfgwError as exc:
         raise PairwiseSolveError(f"pair ({i}, {j}) failed: {exc}") from exc
+    return result.objective, PairRecord(i, j, result)
 
 
 def pairwise_distance_matrix(
@@ -349,32 +389,10 @@ def pairwise_distance_matrix(
     config: FsFgwConfig,
     workers: int = 1,
 ) -> tuple[np.ndarray, list[PairRecord]]:
-    """Symmetric matrix of solve objectives over all unordered pairs.
+    """Symmetric matrix of solve objectives over all unordered pairs, with
+    one record per pair; ``workers`` as in ``pair_matrix``."""
 
-    Each pair is solved once and mirrored; the diagonal is zero by
-    convention.  With ``workers > 1`` and more than one pair, pairs are
-    solved in min(workers, pairs) separate processes, reduced in fixed
-    pair order so results are identical to the serial run.
-    """
-
-    objects = list(objects)
-    N = len(objects)
-    tasks = [
-        (i, j, objects[i], objects[j], config)
-        for i in range(N)
-        for j in range(i + 1, N)
-    ]
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_solve_pair_task, tasks))
-    else:
-        records = [_solve_pair_task(t) for t in tasks]
-    D = np.zeros((N, N))
-    for rec in records:
-        D[rec.i, rec.j] = rec.result.objective
-        D[rec.j, rec.i] = rec.result.objective
-    return D, records
+    return pair_matrix(_solve_pair, objects, config, workers)
 
 
 class Merge(NamedTuple):
@@ -665,39 +683,46 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
     """
 
     if isinstance(source, (str, Path)):
+        where = source
         with open(source) as fh:
             doc = json.load(fh)
     else:
-        doc = source
+        where, doc = "object document", source
     if not isinstance(doc, dict):
-        raise InvalidObjectFile("object document must be a JSON mapping")
-    try:
-        n = int(doc["n"])
-        X = doc["X"]
-        a_spec = doc["a"]
-    except KeyError as exc:
-        raise InvalidObjectFile(f"object document missing key {exc}") from exc
+        raise InvalidObjectFile(f"{where}: object document must be a JSON mapping")
+
+    def field(key, convert):
+        try:
+            return convert(doc[key])
+        except KeyError as exc:
+            raise InvalidObjectFile(f"{where}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidObjectFile(f"{where}: invalid {key!r}: {exc}") from exc
+
+    def floats(value):
+        return np.asarray(value, dtype=float)
+
+    n = field("n", int)
+    if n < 1:
+        raise InvalidObjectFile(f"{where}: n must be >= 1, got {n}")
+    X = field("X", floats)
+    a = field("a", lambda v: np.full(n, 1.0 / n) if v == "uniform" else floats(v))
     has_C = "C" in doc
-    has_edges = "edges" in doc
-    if has_C == has_edges:
-        raise InvalidObjectFile("object document needs exactly one of 'C' and 'edges'")
+    if has_C == ("edges" in doc):
+        raise InvalidObjectFile(f"{where}: needs exactly one of 'C' and 'edges'")
     if has_C:
-        C = np.asarray(doc["C"], dtype=float)
+        C = field("C", floats)
     else:
         if doc.get("structure") != "geodesic":
             raise InvalidObjectFile(
-                "edge-list objects must declare structure: \"geodesic\""
+                f"{where}: edge-list objects must declare structure: \"geodesic\""
             )
-        edges = [(int(i), int(j)) for i, j in doc["edges"]]
+        edges = field("edges", lambda e: [(int(i), int(j)) for i, j in e])
         if any(not (0 <= i < n and 0 <= j < n) for i, j in edges):
-            raise InvalidObjectFile(f"edge endpoints out of range for n={n}")
+            raise InvalidObjectFile(f"{where}: edge endpoints out of range for n={n}")
         C = geodesic_structure(edges, range(n))
-    a = np.full(n, 1.0 / n) if a_spec == "uniform" else np.asarray(a_spec, dtype=float)
-    names = doc.get("feature_names")
-    return StructuredObject(
-        C=C, a=a, X=np.asarray(X, dtype=float),
-        feature_names=tuple(names) if names is not None else None,
-    )
+    names = field("feature_names", tuple) if doc.get("feature_names") is not None else None
+    return StructuredObject(C=C, a=a, X=X, feature_names=names)
 
 
 def load_precinct_graph(nodes_path: str | Path, edges_path: str | Path) -> PrecinctGraph:
@@ -727,8 +752,13 @@ def load_precinct_graph(nodes_path: str | Path, edges_path: str | Path) -> Preci
             if len(row) != len(header):
                 raise InvalidObjectFile(f"{nodes_path}: ragged row {row!r}")
             ids.append(row[0])
-            pops.append(float(row[1]))
-            rows.append([float(v) for v in row[2:]])
+            try:
+                pops.append(float(row[1]))
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise InvalidObjectFile(
+                    f"{nodes_path}, line {reader.line_num}: {exc}"
+                ) from exc
     index = {pid: i for i, pid in enumerate(ids)}
     with open(edges_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -776,7 +806,10 @@ def load_plan_csv(
                 raise InvalidObjectFile(f"{path}: short row {row!r}")
             if row[0] in seen:
                 raise PrecinctUniverseMismatch(f"{path}: duplicate precinct {row[0]!r}")
-            seen[row[0]] = int(row[1])
+            try:
+                seen[row[0]] = int(row[1])
+            except ValueError as exc:
+                raise InvalidObjectFile(f"{path}, line {reader.line_num}: {exc}") from exc
     universe = set(graph.precinct_ids)
     missing = [pid for pid in graph.precinct_ids if pid not in seen]
     extra = [pid for pid in seen if pid not in universe]

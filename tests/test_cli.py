@@ -1,5 +1,6 @@
 """End-to-end command-line runs through main() with temp directories."""
 
+import importlib.util
 import json
 import shlex
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fsfgw
 import fsfgw.cli
 import fsfgw.pipelines
 import oracles
@@ -54,6 +56,15 @@ def write_grid_fixture(tmp_path):
 
 def read_csv_lines(path):
     return path.read_text().strip().splitlines()
+
+
+def load_perfbench(name):
+    """A module of the benchmark harness, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestSolveCommand:
@@ -172,6 +183,27 @@ class TestSolveValidationErrors:
                      "--groups", str(gpath), "--out", str(tmp_path / "o")])
         doc = self.assert_error_json(capsys, code, 2)
         assert doc["error"] == "InvalidPartition"
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"a": "uniformm"},
+            {"edges": [[0, 1, 2]], "structure": "geodesic"},
+            {"n": 0, "a": "uniform"},
+            {"feature_names": 5},
+        ],
+        ids=["measure", "edge", "no-nodes", "names"],
+    )
+    def test_bad_object_field(self, tmp_path, capsys, fault):
+        x, y = self.write_pair(tmp_path)
+        doc = json.loads(y.read_text())
+        if "edges" in fault:
+            del doc["C"]
+        y.write_text(json.dumps({**doc, **fault}))
+        code = main(["solve", str(x), str(y), "--out", str(tmp_path / "o")])
+        doc = self.assert_error_json(capsys, code, 2)
+        assert doc["error"] == "InvalidObjectFile"
+        assert str(y) in doc["message"]
 
     def test_missing_input_file(self, tmp_path, capsys):
         x, _ = self.write_pair(tmp_path)
@@ -352,9 +384,11 @@ class TestPairwiseCommand:
         assert doc["error"] == "DimensionMismatch"
 
 
-def write_two_precinct_map(tmp_path, edge_rows="a,b", plan_rows="a,1\nb,2"):
+def write_two_precinct_map(
+    tmp_path, node_rows="a,1,0.1\nb,1,0.2", edge_rows="a,b", plan_rows="a,1\nb,2"
+):
     nodes = tmp_path / "nodes.csv"
-    nodes.write_text("precinct_id,population,v0\na,1,0.1\nb,1,0.2\n")
+    nodes.write_text(f"precinct_id,population,v0\n{node_rows}\n")
     edges = tmp_path / "edges.csv"
     edges.write_text(f"precinct_id_a,precinct_id_b\n{edge_rows}\n")
     plan = tmp_path / "plan.csv"
@@ -364,7 +398,7 @@ def write_two_precinct_map(tmp_path, edge_rows="a,b", plan_rows="a,1\nb,2"):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace both process pools by an in-process map that records the
+    """Replace the process pool by an in-process map that records the
     requested pool size, so no worker process is started."""
 
     sizes = []
@@ -379,19 +413,26 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(fsfgw.pipelines, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(fsfgw.cli, "ProcessPoolExecutor", InProcessPool)
     return sizes
 
 
 class TestRedistrictCommands:
     @pytest.mark.parametrize(
-        "rows", [{"plan_rows": "a,1\nb"}, {"edge_rows": "a"}], ids=["plan", "edges"]
+        "rows, bad_file",
+        [
+            ({"plan_rows": "a,1\nb"}, "plan.csv"),
+            ({"edge_rows": "a"}, "edges.csv"),
+            ({"plan_rows": "a,1\nb,x"}, "plan.csv, line 3"),
+            ({"node_rows": "a,1,0.1\nb,many,0.2"}, "nodes.csv, line 3"),
+            ({"node_rows": "a,1,0.1\nb,1,high"}, "nodes.csv, line 3"),
+        ],
+        ids=["plan", "edges", "plan-district", "nodes-population", "nodes-feature"],
     )
-    def test_short_csv_row_is_a_validation_error(self, tmp_path, capsys, rows):
+    def test_short_csv_row_is_a_validation_error(self, tmp_path, capsys, rows, bad_file):
         nodes, edges, plan = write_two_precinct_map(tmp_path, **rows)
         code = main(
             ["redistrict", "compare", str(nodes), str(edges), str(plan), str(plan),
@@ -400,6 +441,7 @@ class TestRedistrictCommands:
         assert code == 2
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"] == "InvalidObjectFile"
+        assert bad_file in doc["message"]
 
     def test_pool_is_capped_at_the_plan_pairs(self, tmp_path, capsys, pool_sizes):
         nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
@@ -442,7 +484,8 @@ class TestRedistrictCommands:
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["total_distance"] > 1e-6
 
-    def test_disconnected_district_is_a_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["compare", "matrix"])
+    def test_disconnected_district_is_a_validation_error(self, tmp_path, capsys, command):
         (tmp_path / "nodes.csv").write_text(
             "precinct_id,population,v0\na,1,0.1\nb,1,0.2\nc,1,0.3\nd,1,0.4\n"
         )
@@ -453,7 +496,7 @@ class TestRedistrictCommands:
         # disconnected.
         (tmp_path / "diag.csv").write_text("precinct_id,district\na,1\nb,2\nc,2\nd,1\n")
         code = main(
-            ["redistrict", "compare", str(tmp_path / "nodes.csv"),
+            ["redistrict", command, str(tmp_path / "nodes.csv"),
              str(tmp_path / "edges.csv"), str(tmp_path / "diag.csv"),
              str(tmp_path / "diag.csv"), "--out", str(tmp_path / "o")]
         )
@@ -505,6 +548,19 @@ class TestRedistrictCommands:
         assert first_two == {(0, 2), (1, 3)}
         assert (out / "plan_distances.csv").exists()
 
+    def test_cluster_workers_do_not_change_the_output(self, tmp_path, capsys):
+        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        third = tmp_path / "plan_r.csv"
+        third.write_text(plan_p.read_text())
+        argv = ["redistrict", "cluster", str(nodes), str(edges),
+                str(plan_p), str(plan_q), str(third), "--lambda", "0.2"]
+        assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+        assert main(argv + ["--workers", "2", "--out", str(tmp_path / "pool")]) == 0
+        capsys.readouterr()
+        for name in ("plan_distances.csv", "dendrogram.json"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "pool" / name).read_bytes(), name
+
     def test_matrix_needs_two_plans(self, tmp_path, capsys):
         nodes, edges, plan_p, _ = write_grid_fixture(tmp_path)
         code = main(
@@ -513,3 +569,33 @@ class TestRedistrictCommands:
         )
         assert code == 2
         capsys.readouterr()
+
+
+def test_bench_tracer_sees_every_layer(tmp_path, capsys):
+    """perfbench's tracer wraps package names from outside; a rename or a
+    call that bypasses a wrapped name leaves a benchmark layer empty."""
+    tracer_module = load_perfbench("tracer")
+    workloads = load_perfbench("workloads").WORKLOADS
+    cluster, pairwise = workloads["redistrict-cluster"], workloads["pairwise-q1-pool"]
+    nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+    rng = np.random.default_rng(9)
+    paths = [tmp_path / f"g{k}.json" for k in range(3)]
+    for path in paths:
+        write_object(path, rng, 5, 3)
+    tracer = tracer_module.Tracer(tmp_path)
+    tracer_module.install(tracer)
+    try:
+        assert tracer.missing == set()
+        before = tracer.snapshot()
+        argv = ["redistrict", "cluster", str(nodes), str(edges), str(plan_p), str(plan_q)]
+        assert fsfgw.cli.main(argv + cluster.flags + ["--out", str(tmp_path / "o")]) == 0
+        cluster_calls = tracer_module.difference(tracer.snapshot(), before)["totals"]
+        before = tracer.snapshot()
+        objects = [fsfgw.load_structured_object(path) for path in paths]
+        fsfgw.pairwise_distance_matrix(objects, pairwise.config)
+        pairwise_calls = tracer_module.difference(tracer.snapshot(), before)["totals"]
+    finally:
+        tracer.unwrap()
+    capsys.readouterr()
+    assert set(cluster.layers) - set(cluster_calls) == set()
+    assert set(pairwise.layers) - set(pairwise_calls) == set()
