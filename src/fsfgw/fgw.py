@@ -4,10 +4,16 @@ The structure term is GW(T) = <K(T), T> with the linear operator
 
     K(T)[i, j] = sum_{i' j'} |C1[i, i'] - C2[j, j']|^q T[i', j']
 
-defined for any real T, so the gradient of GW is 2 K(T).  For q = 2 K
-factorizes into two marginal-weighted vectors and one bilinear term,
-avoiding the O(n^2 m^2) contraction; other exponents fall back to the
-direct contraction, which is only permitted up to n * m = 10,000.
+defined for any real T, so the gradient of GW is 2 K(T).  C1, C2 and q
+never change within a solve, so K is a ``StructureOperator`` built once
+and passed to ``gw_value`` and ``gw_gradient`` (which build a one-shot one
+when none is given).  For q = 2 K factorizes into two marginal-weighted
+vectors and one bilinear term, avoiding the O(n^2 m^2) contraction.
+Other exponents use the direct contraction, only permitted up to
+n * m = 10,000: when (n m)^2 <= 2**22 the operator keeps the whole
+difference block (at most 32 MiB) and applies it with one einsum, which
+makes no BLAS call; larger instances rebuild the block in pieces of at
+most 32 MiB on every call.
 
 ``solve_fgw`` minimizes (1 - alpha) <M_eff, T> + alpha GW(T) over U(a, b)
 by conditional gradient: each iteration solves an exact transport LP on
@@ -35,6 +41,7 @@ __all__ = [
     "DIRECT_CONTRACTION_CAP",
     "FgwProblem",
     "FgwSolve",
+    "StructureOperator",
     "gw_value",
     "gw_gradient",
     "fgw_objective",
@@ -42,6 +49,7 @@ __all__ = [
 ]
 
 DIRECT_CONTRACTION_CAP = 10_000
+_BLOCK_DOUBLES = 2**22
 
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_MAX_HALVINGS = 30
@@ -69,8 +77,19 @@ def _checked(plan, C1, C2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return T, C1, C2
 
 
+def _difference_block(C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
+    """The (rows of C1, rows of C2, n, m) block |C1[i, i'] - C2[j, j']|^q,
+    built in place so it is the only array of its size."""
+
+    diff = C1[:, None, :, None] - C2[None, :, None, :]
+    np.abs(diff, out=diff)
+    if q != 1.0:  # x ** 1.0 is x exactly
+        diff **= q
+    return diff
+
+
 def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
-    """K(T) by direct contraction.
+    """K(T) by blocked direct contraction.
 
     Work is blocked over rows of C1, and over columns of C2 when one row
     of n * m * m doubles is too large, so that a block holds at most
@@ -78,36 +97,71 @@ def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.
     """
 
     n, m = T.shape
-    if n * m > DIRECT_CONTRACTION_CAP:
-        raise InstanceTooLarge(
-            f"direct contraction needs n*m <= {DIRECT_CONTRACTION_CAP}, got {n * m}"
-        )
     K = np.empty((n, m))
-    rows = max(1, 2**22 // (n * m * m))
-    cols = m if n * m * m <= 2**22 else 2**22 // (n * m)
+    rows = max(1, _BLOCK_DOUBLES // (n * m * m))
+    cols = m if n * m * m <= _BLOCK_DOUBLES else _BLOCK_DOUBLES // (n * m)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
         for c0 in range(0, m, cols):
             c1 = min(m, c0 + cols)
-            # diff has shape (rows, cols, n, m): |C1[i, i'] - C2[j, j']|^q,
-            # built in place so the block is the only array of that size.
-            diff = C1[r0:r1, None, :, None] - C2[None, c0:c1, None, :]
-            np.abs(diff, out=diff)
-            diff **= q
+            diff = _difference_block(C1[r0:r1], C2[c0:c1], q)
             K[r0:r1, c0:c1] = np.einsum("bjkl,kl->bj", diff, T)
             del diff  # free the block before the next one is allocated
     return K
 
 
-def _kernel(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
-    """K(T): factorized as (C1∘C1) r + (C2∘C2) c - 2 C1 T C2 for q = 2,
-    with r and c the row and column sums of T; direct otherwise."""
+class StructureOperator:
+    """K for fixed (C1, C2, q), built once and applied to any n x m matrix.
 
-    if q == 2.0:
-        r = T.sum(axis=1)
-        c = T.sum(axis=0)
-        return ((C1 * C1) @ r)[:, None] + ((C2 * C2) @ c)[None, :] - 2.0 * (C1 @ T @ C2)
-    return _contraction(T, C1, C2, q)
+    q = 2 keeps C1∘C1 and C2∘C2 for the factorized form.  Other exponents
+    keep the whole (n, m, n, m) difference block when (n m)^2 <= 2**22
+    doubles (32 MiB), and apply it with the contraction's own einsum, so
+    no BLAS call is made; larger instances run the blocked contraction on
+    every call.
+    """
+
+    def __init__(self, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -> None:
+        self.C1 = np.asarray(C1, dtype=float)
+        self.C2 = np.asarray(C2, dtype=float)
+        self.q = q
+        n, m = self.C1.shape[0], self.C2.shape[0]
+        self.shape = (n, m)
+        self.block = None
+        if q == 2.0:
+            self.C1_sq = self.C1 * self.C1
+            self.C2_sq = self.C2 * self.C2
+        elif n * m > DIRECT_CONTRACTION_CAP:
+            raise InstanceTooLarge(
+                f"direct contraction needs n*m <= {DIRECT_CONTRACTION_CAP}, got {n * m}"
+            )
+        elif (n * m) ** 2 <= _BLOCK_DOUBLES:
+            self.block = _difference_block(self.C1, self.C2, q)
+
+    def __call__(self, T: np.ndarray) -> np.ndarray:
+        """K(T): (C1∘C1) r + (C2∘C2) c - 2 C1 T C2 for q = 2, with r and c
+        the row and column sums of T; the direct contraction otherwise."""
+
+        if self.q == 2.0:
+            r = T.sum(axis=1)
+            c = T.sum(axis=0)
+            return (
+                (self.C1_sq @ r)[:, None] + (self.C2_sq @ c)[None, :]
+                - 2.0 * (self.C1 @ T @ self.C2)
+            )
+        if self.block is not None:
+            return np.einsum("bjkl,kl->bj", self.block, T)
+        return _contraction(T, self.C1, self.C2, self.q)
+
+
+def _operator(T, C1, C2, q, operator: StructureOperator | None) -> StructureOperator:
+    if operator is None:
+        return StructureOperator(C1, C2, q)
+    if operator.shape != T.shape or operator.q != q:
+        raise ShapeMismatch(
+            f"operator for a {operator.shape} plan at q={operator.q} "
+            f"applied to a {T.shape} plan at q={q}"
+        )
+    return operator
 
 
 def gw_value(
@@ -115,11 +169,15 @@ def gw_value(
     C1: np.ndarray,
     C2: np.ndarray,
     q: float = 2.0,
+    operator: StructureOperator | None = None,
 ) -> float:
-    """Exact value of the structure-distortion quartic form, <K(T), T> (>= 0)."""
+    """Exact value of the structure-distortion quartic form, <K(T), T> (>= 0).
+
+    ``operator`` is a ``StructureOperator`` for (C1, C2, q) to reuse; a
+    one-shot one is built when it is None."""
 
     T, C1, C2 = _checked(plan, C1, C2)
-    value = float(np.sum(_kernel(T, C1, C2, q) * T))
+    value = float(np.sum(_operator(T, C1, C2, q, operator)(T) * T))
     # The form is a sum of nonnegative terms; cancellation in the
     # factorized path may leave a tiny negative residue.
     if -1e-9 < value < 0.0:
@@ -132,13 +190,15 @@ def gw_gradient(
     C1: np.ndarray,
     C2: np.ndarray,
     q: float = 2.0,
+    operator: StructureOperator | None = None,
 ) -> np.ndarray:
     """Gradient of ``gw_value`` with respect to the plan: 2 K(T).
 
-    Linear in the plan, which may be any real matrix (a CG direction)."""
+    Linear in the plan, which may be any real matrix (a CG direction).
+    ``operator`` is reused as in ``gw_value``."""
 
     T, C1, C2 = _checked(plan, C1, C2)
-    return 2.0 * _kernel(T, C1, C2, q)
+    return 2.0 * _operator(T, C1, C2, q, operator)(T)
 
 
 @dataclass(frozen=True)
@@ -218,6 +278,7 @@ def solve_fgw(
     cg_max_iter: int = 200,
     cg_tol: float = 1e-9,
     basis: Basis | None = None,
+    operator: StructureOperator | None = None,
 ) -> FgwSolve:
     """Conditional-gradient minimization of the fused objective over U(a, b).
 
@@ -237,6 +298,9 @@ def solve_fgw(
     gradients a warm LP may pick a different optimal vertex than a cold
     one, so the CG path can differ from a cold one's while every LP value
     is the same.
+
+    ``operator`` is a ``StructureOperator`` for (C1, C2, q) shared with
+    other solves of the same structures; one is built when it is None.
     """
 
     alpha, q = problem.alpha, problem.q
@@ -252,9 +316,11 @@ def solve_fgw(
                 f"({a.shape[0]},), ({b.shape[0]},)"
             )
 
+    if operator is None:
+        operator = StructureOperator(C1, C2, q)
     # G = 2 K(T) is the structure gradient; K's linearity carries it and
     # the objective from step to step with one operator call on D each.
-    G = gw_gradient(T, C1, C2, q)
+    G = gw_gradient(T, C1, C2, q, operator)
     obj = (1.0 - alpha) * float(np.sum(M * T)) + alpha * 0.5 * float(np.sum(G * T))
     trace = [obj]
     iters = 0
@@ -271,7 +337,7 @@ def solve_fgw(
             # The vertex does not improve on T: stationary for this LP.
             iters -= 1
             break
-        G_d = gw_gradient(direction, C1, C2, q)
+        G_d = gw_gradient(direction, C1, C2, q, operator)
         quad = 0.5 * alpha * float(np.sum(G_d * direction))
         gamma = line_search_quadratic(quad, slope) if q == 2.0 else _armijo_step(quad, slope)
         if gamma <= 0.0:

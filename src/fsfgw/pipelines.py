@@ -673,13 +673,21 @@ def structured_object_to_dict(obj: StructuredObject) -> dict:
     return out
 
 
+def _node_count(value) -> int:
+    # JSON true is a Python int, and int() would truncate 2.5 or parse "3".
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def load_structured_object(source: dict | str | Path) -> StructuredObject:
     """Read a structured object from a JSON document.
 
     The document needs ``n``, ``a`` (a vector or the string "uniform"),
     ``X``, and exactly one of ``C`` (a dense matrix) or ``edges`` with
     ``structure: "geodesic"`` (0-based endpoint pairs, from which
-    normalized hop geodesics are computed).
+    normalized hop geodesics are computed).  ``n`` must be a JSON integer
+    equal to the number of rows of ``C``, ``a`` and ``X``.
     """
 
     if isinstance(source, (str, Path)):
@@ -702,7 +710,7 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
     def floats(value):
         return np.asarray(value, dtype=float)
 
-    n = field("n", int)
+    n = field("n", _node_count)
     if n < 1:
         raise InvalidObjectFile(f"{where}: n must be >= 1, got {n}")
     X = field("X", floats)
@@ -721,6 +729,9 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
         if any(not (0 <= i < n and 0 <= j < n) for i, j in edges):
             raise InvalidObjectFile(f"{where}: edge endpoints out of range for n={n}")
         C = geodesic_structure(edges, range(n))
+    for key, arr in (("C", C), ("a", a), ("X", X)):
+        if arr.shape[:1] != (n,):
+            raise InvalidObjectFile(f"{where}: n is {n} but {key!r} has shape {arr.shape}")
     names = field("feature_names", tuple) if doc.get("feature_names") is not None else None
     return StructuredObject(C=C, a=a, X=X, feature_names=names)
 

@@ -12,7 +12,8 @@ regularizer admits an exact weight update:
 gradient transport solves: each outer iteration starts from the previous
 plan and from the previous LP basis.  The basis never leaves one
 alternating solve (restarts start cold), so a solve is a function of
-(x, y, config).  The groupwise objective weighs each feature
+(x, y, config).  The structure operator is built once per solve and
+shared by every outer iteration and restart.  The groupwise objective weighs each feature
 score by the reciprocal of its group size (group-mean form), in both the
 update and the reported objective.
 """
@@ -39,7 +40,7 @@ from .core import (
     feature_cost_stack,
     feature_scores,
 )
-from .fgw import FgwProblem, gw_value, solve_fgw
+from .fgw import FgwProblem, StructureOperator, gw_value, solve_fgw
 from .transport import random_coupling
 
 __all__ = [
@@ -230,6 +231,7 @@ def _solve_once(
     stack: np.ndarray,
     config: FsFgwConfig,
     init: np.ndarray | None,
+    operator: StructureOperator,
 ) -> SolveResult:
     d = stack.shape[0]
     alpha, q = config.alpha, config.q
@@ -243,14 +245,14 @@ def _solve_once(
 
     def objective_parts(scores: np.ndarray, w: np.ndarray, T) -> tuple[float, float, float]:
         feature = (1.0 - alpha) * float(np.dot((1.0 - w) * inv_size, scores))
-        structure = alpha * gw_value(T, x.C, y.C, q)
+        structure = alpha * gw_value(T, x.C, y.C, q, operator)
         return feature, structure, _regularizer(w, mode, lam)
 
     w = np.zeros(d)
     problem = FgwProblem(
         C1=x.C, C2=y.C, M_eff=effective_cost(w), alpha=alpha, q=q, a=x.a, b=y.a
     )
-    plan0 = solve_fgw(problem, init, config.cg_max_iter, config.cg_tol)
+    plan0 = solve_fgw(problem, init, config.cg_max_iter, config.cg_tol, operator=operator)
     T = plan0.plan.T
     # The LP marginals are x.a and y.a throughout, so each transport solve
     # starts from the last LP basis of the one before.
@@ -277,7 +279,9 @@ def _solve_once(
         problem = FgwProblem(
             C1=x.C, C2=y.C, M_eff=effective_cost(w_new), alpha=alpha, q=q, a=x.a, b=y.a
         )
-        solved = solve_fgw(problem, T, config.cg_max_iter, config.cg_tol, basis)
+        solved = solve_fgw(
+            problem, T, config.cg_max_iter, config.cg_tol, basis, operator=operator
+        )
         T_new, basis = solved.plan.T, solved.basis
         scores_new = feature_scores(T_new, stack)
         parts = objective_parts(scores_new, w_new, T_new)
@@ -346,7 +350,9 @@ def solve_fsfgw(
 
     # feature_cost_stack validates the pair.
     stack = feature_cost_stack(x, y, q=config.q, norm=config.feature_norm)
-    best = _solve_once(x, y, stack, config, None)
+    # C1, C2 and q are fixed for every outer iteration and restart.
+    operator = StructureOperator(x.C, y.C, config.q)
+    best = _solve_once(x, y, stack, config, None, operator)
     if config.restarts > 0:
         rng = np.random.default_rng(config.seed)
         flip = _flip_for_restarts(x, y)
@@ -354,7 +360,7 @@ def solve_fsfgw(
         for _ in range(config.restarts):
             drawn = random_coupling(first, second, rng)
             init = drawn.T.copy() if flip else drawn
-            candidate = _solve_once(x, y, stack, config, init)
+            candidate = _solve_once(x, y, stack, config, init, operator)
             if candidate.objective < best.objective:
                 best = candidate
     return best

@@ -190,9 +190,10 @@ class TestSolveValidationErrors:
             {"a": "uniformm"},
             {"edges": [[0, 1, 2]], "structure": "geodesic"},
             {"n": 0, "a": "uniform"},
+            {"n": 99},
             {"feature_names": 5},
         ],
-        ids=["measure", "edge", "no-nodes", "names"],
+        ids=["measure", "edge", "no-nodes", "wrong-n", "names"],
     )
     def test_bad_object_field(self, tmp_path, capsys, fault):
         x, y = self.write_pair(tmp_path)

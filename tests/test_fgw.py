@@ -9,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fsfgw.core import ShapeMismatch, StructuredObject, feature_cost_stack
+from fsfgw.core import FsFgwConfig, ShapeMismatch, StructuredObject, feature_cost_stack
 import fsfgw.fgw
 from fsfgw.fgw import (
     FgwProblem,
     InstanceTooLarge,
+    StructureOperator,
     fgw_objective,
     gw_gradient,
     gw_value,
     solve_fgw,
 )
+from fsfgw.suppression import solve_fsfgw
 
 
 def random_problem(rng, n, m, alpha=0.5, q=2.0):
@@ -395,3 +397,68 @@ class TestLinearOperator:
         assert counted == {"gw_gradient": 1 + reached, "gw_value": 0}
         assert sol.objective == pytest.approx(fgw_objective(sol.plan, prob), rel=1e-12)
         assert all(b < a for a, b in zip(sol.trace, sol.trace[1:]))
+
+
+def point_cloud(rng, n, d=3):
+    return StructuredObject(
+        C=oracles.random_structure(rng, n), a=oracles.random_measure(rng, n),
+        X=rng.normal(size=(n, d)),
+    )
+
+
+class TestStructureOperator:
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("n, m", [(24, 24), (32, 28), (32, 32), (50, 45)])
+    def test_equals_the_blocked_contraction(self, n, m, q):
+        # (32, 32) is the largest square within one 2**22-double block;
+        # (50, 45) lies beyond it and keeps no block.
+        rng = np.random.default_rng(n * m)
+        C1 = oracles.random_structure(rng, n)
+        C2 = oracles.random_structure(rng, m)
+        T = rng.normal(size=(n, m))  # any real matrix, as a CG direction
+        op = StructureOperator(C1, C2, q)
+        assert (op.block is None) == ((n * m) ** 2 > 2**22)
+        assert np.array_equal(op(T), fsfgw.fgw._contraction(T, C1, C2, q))
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_one_build_per_alternating_solve(self, monkeypatch, q):
+        builds = []
+        real_init = StructureOperator.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StructureOperator, "__init__", counting)
+        rng = np.random.default_rng(21)
+        x, y = point_cloud(rng, 9), point_cloud(rng, 8)
+        res = solve_fsfgw(x, y, FsFgwConfig(mode="simplex", q=q, restarts=2, seed=4))
+        assert res.outer_iters >= 1
+        assert len(builds) == 1
+
+    def test_operator_must_fit_the_call(self):
+        rng = np.random.default_rng(22)
+        C1, C2 = oracles.random_structure(rng, 4), oracles.random_structure(rng, 3)
+        T = np.full((4, 3), 1.0 / 12)
+        op = StructureOperator(C1, C2, 1.0)
+        assert gw_value(T, C1, C2, 1.0, op) == gw_value(T, C1, C2, 1.0)
+        with pytest.raises(ShapeMismatch):
+            gw_value(T, C1, C2, 3.0, op)
+        with pytest.raises(ShapeMismatch):
+            gw_gradient(T.T, C2, C1, 1.0, op)
+
+    def test_alternating_solve_holds_one_block(self):
+        # At n = m = 45 and q = 1 the cached block is 45**4 doubles
+        # (32.8 MB).  A second block alive at any time during the solve,
+        # across outer iterations and restarts, would pass 65 MB.
+        rng = np.random.default_rng(23)
+        x, y = point_cloud(rng, 45), point_cloud(rng, 45)
+        config = FsFgwConfig(mode="simplex", q=1.0, restarts=1, seed=5)
+        tracemalloc.start()
+        try:
+            res = solve_fsfgw(x, y, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.outer_iters >= 1
+        assert 45**4 * 8 < peak < 40e6

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -481,6 +482,29 @@ class TestObjectFiles:
                 {"n": 2, "a": "uniform", "X": [[0.0], [1.0]],
                  "edges": [[0, 5]], "structure": "geodesic"}
             )
+
+    @pytest.mark.parametrize("n", [3, 7, 2.5, 5.0, "5", True],
+                             ids=["fewer", "more", "fraction", "float", "string", "bool"])
+    def test_node_count_must_be_the_integer_size(self, tmp_path, n):
+        rng = np.random.default_rng(13)
+        doc = structured_object_to_dict(make_object(rng, 5, 2))
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps({**doc, "n": n}))
+        with pytest.raises(InvalidObjectFile, match=re.escape(str(path))):
+            load_structured_object(path)
+
+    @pytest.mark.parametrize("key, value", [("a", [0.5, 0.5]), ("X", [[0.0], [1.0]])])
+    def test_node_count_checked_against_every_field(self, key, value):
+        doc = {"n": 3, "a": "uniform", "C": np.zeros((3, 3)).tolist(),
+               "X": np.zeros((3, 1)).tolist(), key: value}
+        with pytest.raises(InvalidObjectFile, match=repr(key)):
+            load_structured_object(doc)
+
+    def test_edge_list_node_count_is_checked(self):
+        doc = {"n": 3, "a": "uniform", "edges": [[0, 1], [1, 2]],
+               "structure": "geodesic", "X": np.zeros((4, 1)).tolist()}
+        with pytest.raises(InvalidObjectFile, match="'X'"):
+            load_structured_object(doc)
 
     def test_missing_keys(self):
         with pytest.raises(InvalidObjectFile):
