@@ -291,7 +291,11 @@ class FsFgwConfig:
     used to calibrate the level from initial scores) must be given for the
     lasso and ridge modes; simplex modes accept neither.  ``restarts``
     adds that many extra alternating solves from random feasible couplings
-    and keeps the best objective.
+    and keeps the best objective; every restart reuses the first solve's
+    level.  Tolerances are fixed: 1e-7 on the outer weight and relative
+    objective changes, 1e-9 on conditional gradient's relative decrease (at
+    most 200 iterations), 1e-12 on restart couplings' marginals (at most
+    10,000 scaling sweeps).
     """
 
     mode: str = "lasso"
@@ -302,9 +306,6 @@ class FsFgwConfig:
     groups: tuple[tuple[int, ...], ...] | None = None
     feature_norm: str = "per_feature"
     max_outer_iter: int = 50
-    outer_tol: float = 1e-7
-    cg_max_iter: int = 200
-    cg_tol: float = 1e-9
     seed: int = 0
     restarts: int = 0
 
@@ -341,10 +342,6 @@ class FsFgwConfig:
             raise InvalidConfig(f"groups are only meaningful for group_simplex mode")
         if self.max_outer_iter < 1:
             raise InvalidConfig("max_outer_iter must be >= 1")
-        if self.cg_max_iter < 1:
-            raise InvalidConfig("cg_max_iter must be >= 1")
-        if not (self.outer_tol > 0.0 and self.cg_tol > 0.0):
-            raise InvalidConfig("tolerances must be positive")
         if self.restarts < 0:
             raise InvalidConfig("restarts must be >= 0")
 

@@ -53,6 +53,8 @@ _BLOCK_DOUBLES = 2**22
 
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_MAX_HALVINGS = 30
+_CG_MAX_ITER = 200
+_CG_TOL = 1e-9
 
 
 class InstanceTooLarge(FsfgwError):
@@ -275,8 +277,6 @@ def _armijo_step(quad: float, slope: float) -> float:
 def solve_fgw(
     problem: FgwProblem,
     init: TransportPlan | np.ndarray | None = None,
-    cg_max_iter: int = 200,
-    cg_tol: float = 1e-9,
     basis: Basis | None = None,
     operator: StructureOperator | None = None,
 ) -> FgwSolve:
@@ -284,8 +284,8 @@ def solve_fgw(
 
     Starts from the outer product a b^T unless a warm start is supplied.
     Stops when the candidate step's relative objective decrease falls
-    below ``cg_tol`` (the candidate is then discarded, so a converged warm
-    start is returned bit-identically) or after ``cg_max_iter`` iterations.
+    below 1e-9 (the candidate is then discarded, so a converged warm start
+    is returned bit-identically) or after 200 iterations.
 
     Each iteration evaluates ``gw_gradient`` once, on the direction D;
     the step, the decrease and the next gradient follow from it in closed
@@ -325,7 +325,7 @@ def solve_fgw(
     trace = [obj]
     iters = 0
     pivots = 0
-    for _ in range(cg_max_iter):
+    for _ in range(_CG_MAX_ITER):
         iters += 1
         grad = (1.0 - alpha) * M + alpha * G
         lp = solve_emd(grad, a, b, basis=basis)
@@ -344,7 +344,7 @@ def solve_fgw(
             iters -= 1
             break
         decrease = -(gamma * slope + gamma * gamma * quad)
-        if decrease <= cg_tol * max(1.0, abs(obj)):
+        if decrease <= _CG_TOL * max(1.0, abs(obj)):
             break
         T = T + gamma * direction
         G = G + gamma * G_d

@@ -425,22 +425,25 @@ def complete_linkage_cluster(D: np.ndarray) -> list[Merge]:
     if D.min(initial=0.0) < 0.0:
         raise InvalidMatrix("distance matrix must be nonnegative")
 
-    active: dict[int, list[int]] = {i: [i] for i in range(N)}
+    # Lance-Williams update: a merged cluster's complete linkage is the larger
+    # of its parts', so L holds exact maxima of D.  L keeps the active ids in
+    # ascending order and D's orientation (D is symmetric only within 1e-9).
+    ids = list(range(N))
+    L = D.copy()
     merges: list[Merge] = []
     for step in range(N - 1):
-        best = None
-        ids = sorted(active)
-        for ai, ida in enumerate(ids):
-            for idb in ids[ai + 1 :]:
-                link = max(
-                    D[p, q_] for p in active[ida] for q_ in active[idb]
-                )
-                if best is None or link < best[0]:
-                    best = (link, ida, idb)
-        link, ida, idb = best
-        merges.append(Merge(ida, idb, float(link)))
-        members = active.pop(ida) + active.pop(idb)
-        active[N + step] = members
+        k = len(ids)
+        # With the diagonal and below masked, the first row-major minimum is
+        # the smallest (id_a, id_b) among ties.
+        i, j = divmod(int(np.argmin(np.where(np.tri(k, dtype=bool), np.inf, L))), k)
+        merges.append(Merge(ids[i], ids[j], float(L[i, j])))
+        keep = [p for p in range(k) if p != i and p != j]
+        grown = np.zeros((k - 1, k - 1))
+        grown[:-1, :-1] = L[np.ix_(keep, keep)]
+        grown[:-1, -1] = np.maximum(L[keep, i], L[keep, j])
+        grown[-1, :-1] = np.maximum(L[i, keep], L[j, keep])
+        L = grown
+        ids = [ids[p] for p in keep] + [N + step]
     return merges
 
 

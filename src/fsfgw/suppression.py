@@ -12,16 +12,16 @@ regularizer admits an exact weight update:
 gradient transport solves: each outer iteration starts from the previous
 plan and from the previous LP basis.  The basis never leaves one
 alternating solve (restarts start cold), so a solve is a function of
-(x, y, config).  The structure operator is built once per solve and
-shared by every outer iteration and restart.  The groupwise objective weighs each feature
-score by the reciprocal of its group size (group-mean form), in both the
-update and the reported objective.
+(x, y, config).  The structure operator, the partition and the level are
+set up once per solve and shared by every outer iteration and restart.
+The groupwise objective weighs each feature score by the reciprocal of its
+group size (group-mean form), in both the update and the reported objective.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger("fsfgw")
+
+# Both the weight change and the relative objective change must fall below
+# this for the alternating solve to stop as converged.
+_OUTER_TOL = 1e-7
 
 
 class MissingLambda(FsfgwError):
@@ -209,14 +213,6 @@ def reduced_objective_g(
     raise InvalidConfig(f"no reduced objective for mode {mode!r}")
 
 
-def _group_sizes(groups, d: int) -> np.ndarray:
-    sizes = np.ones(d)
-    for g in groups:
-        for i in g:
-            sizes[i] = len(g)
-    return sizes
-
-
 def _regularizer(w: np.ndarray, mode: str, lam: float) -> float:
     if mode == "lasso":
         return lam * float(np.abs(w).sum())
@@ -230,80 +226,56 @@ def _solve_once(
     y: StructuredObject,
     stack: np.ndarray,
     config: FsFgwConfig,
-    init: np.ndarray | None,
     operator: StructureOperator,
+    groups: tuple[tuple[int, ...], ...] | None,
+    inv_size: np.ndarray,
+    lam: float | None,
+    init: np.ndarray | None,
 ) -> SolveResult:
-    d = stack.shape[0]
-    alpha, q = config.alpha, config.q
-    mode = config.mode
-    groups = check_partition(config.groups, d) if mode == "group_simplex" else None
-    # Groupwise scoring weighs each feature by 1 / |its group| (group means).
-    inv_size = 1.0 / _group_sizes(groups, d) if groups is not None else np.ones(d)
+    """One alternating solve from ``init`` (a b^T when None).  Iteration 0
+    is the unsuppressed solve; with ``lam`` None it calibrates the level."""
 
-    def effective_cost(w: np.ndarray) -> np.ndarray:
-        return np.einsum("r,rij->ij", (1.0 - w) * inv_size, stack)
-
-    def objective_parts(scores: np.ndarray, w: np.ndarray, T) -> tuple[float, float, float]:
-        feature = (1.0 - alpha) * float(np.dot((1.0 - w) * inv_size, scores))
-        structure = alpha * gw_value(T, x.C, y.C, q, operator)
-        return feature, structure, _regularizer(w, mode, lam)
-
-    w = np.zeros(d)
-    problem = FgwProblem(
-        C1=x.C, C2=y.C, M_eff=effective_cost(w), alpha=alpha, q=q, a=x.a, b=y.a
-    )
-    plan0 = solve_fgw(problem, init, config.cg_max_iter, config.cg_tol, operator=operator)
-    T = plan0.plan.T
+    alpha, q, mode = config.alpha, config.q, config.mode
+    w = w_new = np.zeros(stack.shape[0])
     # The LP marginals are x.a and y.a throughout, so each transport solve
     # starts from the last LP basis of the one before.
-    basis = plan0.basis
-    scores = feature_scores(T, stack)
-
-    if config.lam is not None:
-        lam = float(config.lam)
-    elif config.suppression_fraction is not None:
-        lam = calibrate_lambda(scores, alpha, config.suppression_fraction)
-    else:
-        lam = 0.0  # simplex modes carry no regularization level
-
-    parts = objective_parts(scores, w, T)
-    obj = sum(parts)
-    trace = [TraceEntry(obj, 0.0)]
+    T, basis, obj = init, None, 0.0
+    trace = []
     converged = False
-    outer_iters = 0
-
-    for k in range(1, config.max_outer_iter + 1):
-        outer_iters = k
-        inp = WeightUpdateInput(scores=scores, alpha=alpha, lam=lam, groups=groups)
-        w_new = update_weights(mode, inp).w
-        problem = FgwProblem(
-            C1=x.C, C2=y.C, M_eff=effective_cost(w_new), alpha=alpha, q=q, a=x.a, b=y.a
+    for k in range(config.max_outer_iter + 1):
+        if k > 0:
+            inp = WeightUpdateInput(scores=scores, alpha=alpha, lam=lam, groups=groups)
+            w_new = update_weights(mode, inp).w
+        M_eff = np.einsum("r,rij->ij", (1.0 - w_new) * inv_size, stack)
+        problem = FgwProblem(C1=x.C, C2=y.C, M_eff=M_eff, alpha=alpha, q=q, a=x.a, b=y.a)
+        solved = solve_fgw(problem, T, basis, operator=operator)
+        T, basis = solved.plan.T, solved.basis
+        scores = feature_scores(T, stack)
+        if lam is None:
+            lam = calibrate_lambda(scores, alpha, config.suppression_fraction)
+        parts = (
+            (1.0 - alpha) * float(np.dot((1.0 - w_new) * inv_size, scores)),
+            alpha * gw_value(T, x.C, y.C, q, operator),
+            _regularizer(w_new, mode, lam),
         )
-        solved = solve_fgw(
-            problem, T, config.cg_max_iter, config.cg_tol, basis, operator=operator
-        )
-        T_new, basis = solved.plan.T, solved.basis
-        scores_new = feature_scores(T_new, stack)
-        parts = objective_parts(scores_new, w_new, T_new)
         obj_new = sum(parts)
         dw = float(np.linalg.norm(w_new - w))
         trace.append(TraceEntry(obj_new, dw))
-        obj_settled = abs(obj_new - obj) <= config.outer_tol * max(1.0, abs(obj))
-        T, w, scores, obj = T_new, w_new, scores_new, obj_new
-        if dw < config.outer_tol and obj_settled:
+        obj_settled = abs(obj_new - obj) <= _OUTER_TOL * max(1.0, abs(obj))
+        w, obj = w_new, obj_new
+        if k > 0 and dw < _OUTER_TOL and obj_settled:
             converged = True
             break
 
     logger.debug(
         "alternating solve: %d outer iterations, converged=%s, objective=%.6g",
-        outer_iters,
+        k,
         converged,
         obj,
     )
-    weights = SuppressionWeights(w=w, mode=mode, groups=groups)
     return SolveResult(
         plan=TransportPlan(T=T, row_marginal=x.a, col_marginal=y.a),
-        weights=weights,
+        weights=SuppressionWeights(w=w, mode=mode, groups=groups),
         objective=float(obj),
         feature_term=float(parts[0]),
         gw_term=float(parts[1]),
@@ -311,7 +283,7 @@ def _solve_once(
         scores=scores,
         lambda_used=float(lam),
         trace=tuple(trace),
-        outer_iters=outer_iters,
+        outer_iters=k,
         converged=converged,
     )
 
@@ -340,19 +312,30 @@ def solve_fsfgw(
 
     Weights start at zero; the first transport solve is therefore the
     unsuppressed problem.  When a suppression fraction is configured, the
-    regularization level is calibrated once from the initial scores.  The
-    loop stops when both the weight change and the relative objective
-    change drop below ``outer_tol``; hitting ``max_outer_iter`` instead is
-    reported via ``converged=False``, not an error.  With ``restarts > 0``
-    the solve is repeated from random feasible couplings and the lowest
-    objective wins.
+    regularization level is calibrated once from the initial scores of the
+    first solve, and every restart reuses that level.  The loop stops when
+    both the weight change and the relative objective change drop below
+    1e-7; hitting ``max_outer_iter`` instead is reported via
+    ``converged=False``, not an error.  With ``restarts > 0`` the solve is
+    repeated from random feasible couplings and the lowest objective wins.
     """
 
     # feature_cost_stack validates the pair.
     stack = feature_cost_stack(x, y, q=config.q, norm=config.feature_norm)
     # C1, C2 and q are fixed for every outer iteration and restart.
     operator = StructureOperator(x.C, y.C, config.q)
-    best = _solve_once(x, y, stack, config, None, operator)
+    groups = check_partition(config.groups, x.d) if config.mode == "group_simplex" else None
+    # Groupwise scoring weighs each feature by 1 / |its group| (group means).
+    inv_size = np.ones(x.d)
+    for g in groups or ():
+        inv_size[list(g)] = 1.0 / len(g)
+    if config.lam is not None:
+        lam = float(config.lam)
+    elif config.suppression_fraction is not None:
+        lam = None  # calibrated by the first solve
+    else:
+        lam = 0.0  # simplex modes carry no regularization level
+    best = _solve_once(x, y, stack, config, operator, groups, inv_size, lam, None)
     if config.restarts > 0:
         rng = np.random.default_rng(config.seed)
         flip = _flip_for_restarts(x, y)
@@ -360,7 +343,9 @@ def solve_fsfgw(
         for _ in range(config.restarts):
             drawn = random_coupling(first, second, rng)
             init = drawn.T.copy() if flip else drawn
-            candidate = _solve_once(x, y, stack, config, init, operator)
+            candidate = _solve_once(
+                x, y, stack, config, operator, groups, inv_size, best.lambda_used, init
+            )
             if candidate.objective < best.objective:
                 best = candidate
     return best

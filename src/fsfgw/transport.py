@@ -56,6 +56,8 @@ __all__ = [
 IMBALANCE_TOL = 1e-7
 
 _REDUCED_COST_TOL = 1e-11
+_SCALING_MAX_ITERS = 10_000
+_SCALING_TOL = 1e-12
 
 
 class Infeasible(FsfgwError):
@@ -380,8 +382,6 @@ def random_coupling(
     a: np.ndarray,
     b: np.ndarray,
     rng: np.random.Generator,
-    max_iters: int = 10_000,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """A random interior point of U(a, b) by scaling a positive matrix.
 
@@ -393,13 +393,13 @@ def random_coupling(
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     K = rng.uniform(0.5, 1.5, size=(a.shape[0], b.shape[0]))
-    for _ in range(max_iters):
+    for _ in range(_SCALING_MAX_ITERS):
         rows = K.sum(axis=1)
         K *= np.divide(a, rows, out=np.zeros_like(a), where=rows > 0)[:, None]
         cols = K.sum(axis=0)
         K *= np.divide(b, cols, out=np.zeros_like(b), where=cols > 0)[None, :]
         row_err = np.abs(K.sum(axis=1) - a).max(initial=0.0)
         col_err = np.abs(K.sum(axis=0) - b).max(initial=0.0)
-        if max(row_err, col_err) < tol:
+        if max(row_err, col_err) < _SCALING_TOL:
             break
     return K

@@ -289,6 +289,17 @@ class TestCompleteLinkage:
             for m, (_, _, h) in zip(merges, ref):
                 assert m.height == pytest.approx(h, abs=1e-12)
 
+    def test_matches_reference_on_tied_integer_matrices(self):
+        # Small integer distances tie often, which exercises the
+        # lexicographic tie rule; heights are maxima of D, so exact.
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            N = int(rng.integers(2, 13))
+            D = np.triu(rng.integers(0, 4, (N, N)).astype(float), 1)
+            D = D + D.T
+            merges = complete_linkage_cluster(D)
+            assert [tuple(m) for m in merges] == oracles.linkage_reference(D)
+
     def test_all_equal_distances_merge_in_id_order(self):
         D = np.full((4, 4), 2.0)
         np.fill_diagonal(D, 0.0)

@@ -1,5 +1,5 @@
 """The example scripts run end to end and write their CSV outputs; the BENCH
-script refuses failing benchmark runs."""
+and pair scripts refuse failing benchmark runs."""
 
 import os
 import subprocess
@@ -67,3 +67,48 @@ def test_bench_json_refuses_an_incorrect_run(tmp_path):
     finally:
         for path in written:
             path.unlink(missing_ok=True)
+
+
+PAIR_STUB_RUN = textwrap.dedent("""
+    import json, sys
+    seed = int(sys.argv[sys.argv.index("--seed") + 1])
+    wall = {wall} + 0.01 * seed
+    print(json.dumps({{"environment": {{"python": "stub"}}}}))
+    metrics = {{name: {{"value": wall, "unit": "s"}}
+               for name in ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")}}
+    metrics["ok_frac"] = {{"value": 1.0, "unit": "ratio"}}
+    print(json.dumps({{"correct": seed != {bad_seed}, "attempted": 1, "failed": 0,
+                      "metrics": metrics}}))
+""")
+
+
+def stub_checkout(root, wall, bad_seed=-1):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        PAIR_STUB_RUN.format(wall=wall, bad_seed=bad_seed)
+    )
+    return root
+
+
+def test_bench_pairs_summarizes_ten_pairs(tmp_path):
+    parent = stub_checkout(tmp_path / "parent", 1.0)
+    change = stub_checkout(tmp_path / "change", 0.5)
+    proc = run_script("bench_pairs.py", str(parent), str(change))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 * 5  # every workload and end-to-end metric
+    wall = next(line for line in lines if line.startswith("synth-uniform wall_s:"))
+    # Parent values 1.00..1.09: median 1.045, quartiles 1.0175 and 1.0725.
+    assert "parent median 1.045 (quartiles 1.0175, 1.0725)" in wall
+    assert "change median 0.545, change wins 10/10" in wall
+    ok = next(line for line in lines if line.startswith("synth-uniform ok_frac:"))
+    assert ok.endswith("change wins 0/10")
+
+
+def test_bench_pairs_refuses_an_incorrect_run(tmp_path):
+    parent = stub_checkout(tmp_path / "parent", 1.0)
+    change = stub_checkout(tmp_path / "change", 0.5, bad_seed=3)
+    proc = run_script("bench_pairs.py", str(parent), str(change))
+    assert proc.returncode != 0
+    assert "synth-uniform seed 3 on the change" in proc.stderr
+    assert proc.stdout == ""

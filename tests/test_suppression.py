@@ -1,6 +1,9 @@
 """Closed-form weight updates, level calibration, and the alternating solver."""
 
+import hashlib
+import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +42,15 @@ def make_object(rng, n, d, uniform=True):
         a=oracles.random_measure(rng, n, uniform=uniform),
         X=rng.normal(0.0, 1.0, (n, d)),
     )
+
+
+def point_cloud(rng, n, d=4):
+    """Uniform points in the unit square with normalized Euclidean
+    distances, a uniform measure and Gaussian features."""
+
+    pts = rng.uniform(size=(n, 2))
+    C = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    return StructuredObject(C=C / C.max(), a=np.full(n, 1.0 / n), X=rng.normal(size=(n, d)))
 
 
 class TestLassoUpdate:
@@ -408,6 +420,62 @@ class TestSolveFsfgw:
         assert np.array_equal(first.plan.T, again.plan.T)
         assert first.objective == again.objective
         assert first.trace == again.trace
+
+    def test_restarts_reuse_the_first_solves_level(self, monkeypatch):
+        # On this pair a restart that calibrated its own level from its own
+        # initial scores would win with a different level, so "lowest
+        # objective wins" would compare different problems.
+        import fsfgw.suppression
+
+        rng = np.random.default_rng(3)
+        x, y = point_cloud(rng, 12), point_cloud(rng, 10)
+        config = FsFgwConfig(mode="lasso", suppression_fraction=0.3, q=1.0)
+        plain = solve_fsfgw(x, y, config)
+
+        real = fsfgw.suppression._solve_once
+        levels = []
+
+        def recording(*args, **kwargs):
+            given = inspect.signature(real).bind(*args, **kwargs).arguments.get("lam")
+            result = real(*args, **kwargs)
+            levels.append((given, result.lambda_used))
+            return result
+
+        monkeypatch.setattr(fsfgw.suppression, "_solve_once", recording)
+        multi = solve_fsfgw(x, y, replace(config, restarts=3))
+        assert multi.lambda_used == plain.lambda_used
+        assert len(levels) == 4
+        assert levels[0] == (None, plain.lambda_used)
+        assert all(pair == (plain.lambda_used,) * 2 for pair in levels[1:])
+
+    @pytest.mark.parametrize(
+        "seed, config, n, m, uniform, digest",
+        [
+            (40, FsFgwConfig(mode="lasso", lam=0.15, q=1.0), 7, 6, True, "f39af752e60e2bf2"),
+            (41, FsFgwConfig(mode="ridge", lam=0.3, q=1.5, restarts=1), 8, 6, False,
+             "25ada45346525459"),
+            (42, FsFgwConfig(mode="simplex", q=1.0, restarts=2), 6, 7, False,
+             "3c8ea85ec1f81902"),
+            (43, FsFgwConfig(mode="group_simplex", groups=((0, 2), (1, 3)), q=1.5), 7, 7,
+             True, "82aed38f6b5e7677"),
+            (44, FsFgwConfig(mode="lasso", lam=0.08, q=1.5, restarts=2, alpha=0.3), 9, 7,
+             False, "e98bf9dd1a03cec4"),
+            (45, FsFgwConfig(mode="ridge", lam=0.2, q=1.0, seed=5, restarts=1), 6, 8, True,
+             "3e586a6023690294"),
+        ],
+    )
+    def test_pinned_solve_outputs(self, seed, config, n, m, uniform, digest):
+        """The plan, weights, scores and trace of a solve at a fixed level,
+        pinned bit for bit to recorded values.  At q != 2 these sizes keep
+        the whole structure block, applied by einsum, so the digests do not
+        depend on BLAS threading."""
+        rng = np.random.default_rng(seed)
+        x, y = make_object(rng, n, 4, uniform), make_object(rng, m, 4, uniform)
+        r = solve_fsfgw(x, y, config)
+        h = hashlib.sha256()
+        for arr in (r.plan.T, r.weights.w, r.scores, np.array(r.trace)):
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        assert h.hexdigest()[:16] == digest
 
     def test_pair_is_validated_once(self, monkeypatch):
         import fsfgw.core
