@@ -20,7 +20,6 @@ from .core import (
     InvalidConfig,
     InvalidMeasure,
     InvalidPartition,
-    PairContext,
     ShapeMismatch,
     SolveResult,
     StructuredObject,
@@ -36,7 +35,6 @@ from .fgw import (
     FgwProblem,
     FgwSolve,
     InstanceTooLarge,
-    fgw_objective,
     gw_gradient,
     gw_value,
     solve_fgw,
@@ -77,7 +75,6 @@ from .suppression import (
     MissingLambda,
     WeightUpdateInput,
     calibrate_lambda,
-    reduced_objective_g,
     solve_fsfgw,
     update_weights,
     update_weights_group_simplex,

@@ -7,6 +7,12 @@ matrices and transport plans coupling the two measures.
 
 All types are frozen dataclasses carrying read-only numpy arrays, so
 instances are safe to share across threads and worker processes.
+
+Each invariant is checked once, by the entry point that takes it:
+``StructuredObject`` one object, ``FsFgwConfig`` a configuration,
+``validate_pair`` a shared feature count, ``TransportPlan`` the plan a
+solve returns; ``solve_emd``, ``FgwProblem`` and ``solve_fgw`` check the
+solver inputs.  ``LpSolution.T`` and ``FgwSolve.T`` are unchecked output.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ __all__ = [
     "FsFgwConfig",
     "TraceEntry",
     "SolveResult",
-    "PairContext",
     "validate_pair",
     "check_partition",
     "feature_cost_stack",
@@ -353,16 +358,6 @@ class TraceEntry(NamedTuple):
     dw: float
 
 
-class PairContext(NamedTuple):
-    """A validated pair of structured objects and their shared sizes."""
-
-    x: StructuredObject
-    y: StructuredObject
-    n: int
-    m: int
-    d: int
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of an alternating suppression/transport solve.
@@ -408,8 +403,8 @@ class SolveResult:
         }
 
 
-def validate_pair(x: StructuredObject, y: StructuredObject) -> PairContext:
-    """Check that two objects can be compared and return their joint sizes.
+def validate_pair(x: StructuredObject, y: StructuredObject) -> None:
+    """Check that two objects can be compared.
 
     Object-level invariants (symmetry, measure normalization) are enforced
     by the ``StructuredObject`` constructor; this check covers the
@@ -420,7 +415,6 @@ def validate_pair(x: StructuredObject, y: StructuredObject) -> PairContext:
         raise ShapeMismatch("validate_pair expects two StructuredObject instances")
     if x.d != y.d:
         raise DimensionMismatch(f"feature counts differ: {x.d} vs {y.d}")
-    return PairContext(x=x, y=y, n=x.n, m=y.n, d=x.d)
 
 
 def feature_cost_stack(
@@ -436,7 +430,7 @@ def feature_cost_stack(
     keeps the raw costs.  Returns a read-only array of shape (d, n, m).
     """
 
-    ctx = validate_pair(x, y)
+    validate_pair(x, y)
     if q < 1.0:
         raise InvalidConfig(f"q must be >= 1, got {q}")
     if norm not in FEATURE_NORMS:
@@ -444,7 +438,7 @@ def feature_cost_stack(
     diff = np.abs(x.X[:, None, :] - y.X[None, :, :])
     stack = np.transpose(diff**q, (2, 0, 1)).copy()
     if norm == "per_feature":
-        for r in range(ctx.d):
+        for r in range(x.d):
             mx = stack[r].max(initial=0.0)
             if mx > 0.0:
                 stack[r] /= mx
@@ -452,13 +446,14 @@ def feature_cost_stack(
     return stack
 
 
-def feature_scores(plan: TransportPlan | np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Per-feature transport costs s_r = sum_ij T_ij M_r[i, j].
+def feature_scores(T: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Per-feature transport costs s_r = sum_ij T_ij M_r[i, j] of an n x m
+    plan array ``T``.
 
     Scores are linear in the plan and nonnegative whenever the stack is.
     """
 
-    T = plan.T if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
+    T = np.asarray(T, dtype=float)
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or T.ndim != 2 or stack.shape[1:] != T.shape:
         raise ShapeMismatch(

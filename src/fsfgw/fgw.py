@@ -5,18 +5,22 @@ The structure term is GW(T) = <K(T), T> with the linear operator
     K(T)[i, j] = sum_{i' j'} |C1[i, i'] - C2[j, j']|^q T[i', j']
 
 defined for any real T, so the gradient of GW is 2 K(T).  C1, C2 and q
-never change within a solve, so K is a ``StructureOperator`` built once
-and passed to ``gw_value`` and ``gw_gradient`` (which build a one-shot one
-when none is given).  For q = 2 K factorizes into two marginal-weighted
-vectors and one bilinear term, avoiding the O(n^2 m^2) contraction.
+never change within a solve, so K is a ``StructureOperator`` built once,
+by the ``FgwProblem`` that holds them, and passed to ``gw_value`` and
+``gw_gradient`` (which build a one-shot one when none is given).  For
+q = 2 K factorizes into two marginal-weighted vectors and one bilinear
+term, avoiding the O(n^2 m^2) contraction.
 Other exponents use the direct contraction, only permitted up to
 n * m = 10,000: when (n m)^2 <= 2**22 the operator keeps the whole
 difference block (at most 32 MiB) and applies it with one einsum, which
 makes no BLAS call; larger instances rebuild the block in pieces of at
 most 32 MiB on every call.
 
-``solve_fgw`` minimizes (1 - alpha) <M_eff, T> + alpha GW(T) over U(a, b)
-by conditional gradient: each iteration solves an exact transport LP on
+``FgwProblem`` is the fixed half of the problem, (C1, C2, alpha, q, a, b),
+checked once when it is built; ``solve_fgw(problem, M_eff, init, basis)``
+checks only the feature cost ``M_eff`` and the warm start's shape.  It
+minimizes (1 - alpha) <M_eff, T> + alpha GW(T) over U(a, b) by
+conditional gradient: each iteration solves an exact transport LP on
 the current gradient, warm-started from the previous LP's basis (the
 marginals never change within a solve), and evaluates K once, on the
 direction D.  K's kernel is symmetric, so the objective along T + gamma D
@@ -24,6 +28,8 @@ is an exact quadratic in gamma: the step is its exact minimizer (q = 2)
 or an Armijo backtracking step on the closed form (q != 2).  Steps are
 accepted only when they strictly decrease the objective, so the iterate
 sequence is monotone and a converged warm start is returned unchanged.
+Each LP goes through ``solve_emd`` and its checks; ``LpSolution.T`` and
+``FgwSolve.T`` are the solvers' own read-only arrays, not re-checked.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FsfgwError, ShapeMismatch, TransportPlan
+from .core import FsfgwError, ShapeMismatch
 from .transport import Basis, line_search_quadratic, solve_emd
 
 __all__ = [
@@ -44,7 +50,6 @@ __all__ = [
     "StructureOperator",
     "gw_value",
     "gw_gradient",
-    "fgw_objective",
     "solve_fgw",
 ]
 
@@ -61,14 +66,8 @@ class InstanceTooLarge(FsfgwError):
     """Direct contraction requested beyond the n * m size cap."""
 
 
-def _as_matrix(plan: TransportPlan | np.ndarray) -> np.ndarray:
-    if isinstance(plan, TransportPlan):
-        return plan.T
-    return np.asarray(plan, dtype=float)
-
-
-def _checked(plan, C1, C2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    T = _as_matrix(plan)
+def _checked(T, C1, C2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    T = np.asarray(T, dtype=float)
     C1 = np.asarray(C1, dtype=float)
     C2 = np.asarray(C2, dtype=float)
     n, m = T.shape
@@ -167,7 +166,7 @@ def _operator(T, C1, C2, q, operator: StructureOperator | None) -> StructureOper
 
 
 def gw_value(
-    plan: TransportPlan | np.ndarray,
+    T: np.ndarray,
     C1: np.ndarray,
     C2: np.ndarray,
     q: float = 2.0,
@@ -178,7 +177,7 @@ def gw_value(
     ``operator`` is a ``StructureOperator`` for (C1, C2, q) to reuse; a
     one-shot one is built when it is None."""
 
-    T, C1, C2 = _checked(plan, C1, C2)
+    T, C1, C2 = _checked(T, C1, C2)
     value = float(np.sum(_operator(T, C1, C2, q, operator)(T) * T))
     # The form is a sum of nonnegative terms; cancellation in the
     # factorized path may leave a tiny negative residue.
@@ -188,7 +187,7 @@ def gw_value(
 
 
 def gw_gradient(
-    plan: TransportPlan | np.ndarray,
+    T: np.ndarray,
     C1: np.ndarray,
     C2: np.ndarray,
     q: float = 2.0,
@@ -199,18 +198,19 @@ def gw_gradient(
     Linear in the plan, which may be any real matrix (a CG direction).
     ``operator`` is reused as in ``gw_value``."""
 
-    T, C1, C2 = _checked(plan, C1, C2)
+    T, C1, C2 = _checked(T, C1, C2)
     return 2.0 * _operator(T, C1, C2, q, operator)(T)
 
 
 @dataclass(frozen=True)
 class FgwProblem:
-    """A fused transport problem: structure matrices, effective feature
-    cost, trade-off ``alpha``, exponent ``q``, and the two marginals."""
+    """The fixed half of a fused transport problem: structure matrices,
+    trade-off ``alpha``, exponent ``q``, and the two marginals, checked
+    once, with ``operator``, the ``StructureOperator`` for (C1, C2, q),
+    built once for every ``solve_fgw`` on the problem."""
 
     C1: np.ndarray
     C2: np.ndarray
-    M_eff: np.ndarray
     alpha: float
     q: float
     a: np.ndarray
@@ -219,47 +219,35 @@ class FgwProblem:
     def __post_init__(self) -> None:
         C1 = np.asarray(self.C1, dtype=float)
         C2 = np.asarray(self.C2, dtype=float)
-        M = np.asarray(self.M_eff, dtype=float)
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         n, m = a.shape[0], b.shape[0]
-        if C1.shape != (n, n) or C2.shape != (m, m) or M.shape != (n, m):
+        if C1.shape != (n, n) or C2.shape != (m, m):
             raise ShapeMismatch(
                 f"inconsistent problem shapes: C1 {C1.shape}, C2 {C2.shape}, "
-                f"M_eff {M.shape}, marginals ({n},), ({m},)"
+                f"marginals ({n},), ({m},)"
             )
         if not (0.0 <= self.alpha <= 1.0):
             raise ShapeMismatch(f"alpha must lie in [0, 1], got {self.alpha}")
-        for name, arr in (("C1", C1), ("C2", C2), ("M_eff", M), ("a", a), ("b", b)):
+        for name, arr in (("C1", C1), ("C2", C2), ("a", a), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise ShapeMismatch(f"{name} contains non-finite entries")
-        object.__setattr__(self, "C1", C1)
-        object.__setattr__(self, "C2", C2)
-        object.__setattr__(self, "M_eff", M)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "operator", StructureOperator(C1, C2, self.q))
 
 
 class FgwSolve(NamedTuple):
-    """The final plan and objective, the CG iterations, the objective
-    trace, the last LP basis (None on the assignment route), and the sum
-    of the LP pivots."""
+    """The final plan ``T`` (the solver's own read-only n x m array, not
+    re-checked) and objective, the CG iterations, the objective trace, the
+    last LP basis (None on the assignment route), and the sum of the LP
+    pivots."""
 
-    plan: TransportPlan
+    T: np.ndarray
     objective: float
     cg_iters: int
     trace: tuple[float, ...] = ()
     basis: Basis | None = None
     lp_pivots: int = 0
-
-
-def fgw_objective(plan: TransportPlan | np.ndarray, problem: FgwProblem) -> float:
-    """(1 - alpha) <M_eff, T> + alpha GW(T)."""
-
-    T = _as_matrix(plan)
-    feature = float(np.sum(problem.M_eff * T))
-    structure = gw_value(T, problem.C1, problem.C2, problem.q)
-    return (1.0 - problem.alpha) * feature + problem.alpha * structure
 
 
 def _armijo_step(quad: float, slope: float) -> float:
@@ -276,11 +264,15 @@ def _armijo_step(quad: float, slope: float) -> float:
 
 def solve_fgw(
     problem: FgwProblem,
-    init: TransportPlan | np.ndarray | None = None,
+    M_eff: np.ndarray,
+    init: np.ndarray | None = None,
     basis: Basis | None = None,
-    operator: StructureOperator | None = None,
 ) -> FgwSolve:
-    """Conditional-gradient minimization of the fused objective over U(a, b).
+    """Conditional-gradient minimization of (1 - alpha) <M_eff, T> +
+    alpha GW(T) over U(a, b), with K the problem's ``operator``.
+
+    ``M_eff`` must be a finite n x m matrix; the problem was checked when
+    it was built.
 
     Starts from the outer product a b^T unless a warm start is supplied.
     Stops when the candidate step's relative objective decrease falls
@@ -289,35 +281,32 @@ def solve_fgw(
 
     Each iteration evaluates ``gw_gradient`` once, on the direction D;
     the step, the decrease and the next gradient follow from it in closed
-    form, so the returned objective can differ from ``fgw_objective`` of
-    the plan by accumulated rounding.
+    form, so the returned objective can differ from the objective
+    evaluated afresh at the plan by accumulated rounding.
 
     Each LP starts from the basis the previous one returned, the first
     from ``basis`` (an ``FgwSolve.basis`` for the same marginals) or cold.
-    The result is a function of (problem, init, basis): on degenerate
+    The result is a function of (problem, M_eff, init, basis): on degenerate
     gradients a warm LP may pick a different optimal vertex than a cold
     one, so the CG path can differ from a cold one's while every LP value
     is the same.
-
-    ``operator`` is a ``StructureOperator`` for (C1, C2, q) shared with
-    other solves of the same structures; one is built when it is None.
     """
 
-    alpha, q = problem.alpha, problem.q
-    C1, C2, M = problem.C1, problem.C2, problem.M_eff
-    a, b = problem.a, problem.b
+    alpha, q, operator = problem.alpha, problem.q, problem.operator
+    C1, C2, a, b = problem.C1, problem.C2, problem.a, problem.b
+    shape = (a.shape[0], b.shape[0])
+    M = np.asarray(M_eff, dtype=float)
+    if M.shape != shape:
+        raise ShapeMismatch(f"M_eff of shape {M.shape} does not fit a {shape} plan")
+    if not np.all(np.isfinite(M)):
+        raise ShapeMismatch("M_eff contains non-finite entries")
     if init is None:
         T = np.outer(a, b)
     else:
-        T = _as_matrix(init).copy()
-        if T.shape != (a.shape[0], b.shape[0]):
-            raise ShapeMismatch(
-                f"warm start of shape {T.shape} does not fit marginals "
-                f"({a.shape[0]},), ({b.shape[0]},)"
-            )
+        T = np.array(init, dtype=float)
+        if T.shape != shape:
+            raise ShapeMismatch(f"warm start of shape {T.shape} does not fit a {shape} plan")
 
-    if operator is None:
-        operator = StructureOperator(C1, C2, q)
     # G = 2 K(T) is the structure gradient; K's linearity carries it and
     # the objective from step to step with one operator call on D each.
     G = gw_gradient(T, C1, C2, q, operator)
@@ -331,7 +320,7 @@ def solve_fgw(
         lp = solve_emd(grad, a, b, basis=basis)
         basis = lp.basis
         pivots += lp.iterations
-        direction = lp.plan.T - T
+        direction = lp.T - T
         slope = float(np.sum(grad * direction))
         if slope >= 0.0:
             # The vertex does not improve on T: stationary for this LP.
@@ -351,12 +340,5 @@ def solve_fgw(
         obj -= decrease
         trace.append(obj)
 
-    plan = TransportPlan(T=T, row_marginal=a, col_marginal=b)
-    return FgwSolve(
-        plan=plan,
-        objective=obj,
-        cg_iters=iters,
-        trace=tuple(trace),
-        basis=basis,
-        lp_pivots=pivots,
-    )
+    T.setflags(write=False)
+    return FgwSolve(T, obj, iters, tuple(trace), basis, pivots)

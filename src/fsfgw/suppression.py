@@ -40,7 +40,7 @@ from .core import (
     feature_cost_stack,
     feature_scores,
 )
-from .fgw import FgwProblem, StructureOperator, gw_value, solve_fgw
+from .fgw import FgwProblem, gw_value, solve_fgw
 from .transport import random_coupling
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "update_weights_group_simplex",
     "update_weights",
     "calibrate_lambda",
-    "reduced_objective_g",
     "solve_fsfgw",
 ]
 
@@ -190,29 +189,6 @@ def calibrate_lambda(scores: np.ndarray, alpha: float, fraction: float) -> float
     return float((1.0 - alpha) * np.sort(scores)[idx])
 
 
-def reduced_objective_g(
-    scores: np.ndarray, alpha: float, lam: float, mode: str
-) -> float:
-    """Value of the feature-plus-regularization terms after minimizing the
-    weights in closed form, as a function of the scores alone.
-
-    lasso: sum_r min((1 - alpha) s_r, lambda).  ridge: per coordinate,
-    (1 - alpha) s_r - ((1 - alpha) s_r)^2 / (2 lambda) while the scaled
-    score is below lambda, saturating at lambda / 2 beyond.
-    """
-
-    scores = np.asarray(scores, dtype=float)
-    if lam <= 0.0:
-        raise InvalidConfig(f"the reduced objective needs lambda > 0, got {lam}")
-    t = (1.0 - alpha) * scores
-    if mode == "lasso":
-        return float(np.minimum(t, lam).sum())
-    if mode == "ridge":
-        below = t - t * t / (2.0 * lam)
-        return float(np.where(t <= lam, below, lam / 2.0).sum())
-    raise InvalidConfig(f"no reduced objective for mode {mode!r}")
-
-
 def _regularizer(w: np.ndarray, mode: str, lam: float) -> float:
     if mode == "lasso":
         return lam * float(np.abs(w).sum())
@@ -222,11 +198,9 @@ def _regularizer(w: np.ndarray, mode: str, lam: float) -> float:
 
 
 def _solve_once(
-    x: StructuredObject,
-    y: StructuredObject,
+    problem: FgwProblem,
     stack: np.ndarray,
     config: FsFgwConfig,
-    operator: StructureOperator,
     groups: tuple[tuple[int, ...], ...] | None,
     inv_size: np.ndarray,
     lam: float | None,
@@ -237,8 +211,8 @@ def _solve_once(
 
     alpha, q, mode = config.alpha, config.q, config.mode
     w = w_new = np.zeros(stack.shape[0])
-    # The LP marginals are x.a and y.a throughout, so each transport solve
-    # starts from the last LP basis of the one before.
+    # The LP marginals are problem.a and problem.b throughout, so each
+    # transport solve starts from the last LP basis of the one before.
     T, basis, obj = init, None, 0.0
     trace = []
     converged = False
@@ -247,15 +221,14 @@ def _solve_once(
             inp = WeightUpdateInput(scores=scores, alpha=alpha, lam=lam, groups=groups)
             w_new = update_weights(mode, inp).w
         M_eff = np.einsum("r,rij->ij", (1.0 - w_new) * inv_size, stack)
-        problem = FgwProblem(C1=x.C, C2=y.C, M_eff=M_eff, alpha=alpha, q=q, a=x.a, b=y.a)
-        solved = solve_fgw(problem, T, basis, operator=operator)
-        T, basis = solved.plan.T, solved.basis
+        solved = solve_fgw(problem, M_eff, T, basis)
+        T, basis = solved.T, solved.basis
         scores = feature_scores(T, stack)
         if lam is None:
             lam = calibrate_lambda(scores, alpha, config.suppression_fraction)
         parts = (
             (1.0 - alpha) * float(np.dot((1.0 - w_new) * inv_size, scores)),
-            alpha * gw_value(T, x.C, y.C, q, operator),
+            alpha * gw_value(T, problem.C1, problem.C2, q, problem.operator),
             _regularizer(w_new, mode, lam),
         )
         obj_new = sum(parts)
@@ -274,7 +247,7 @@ def _solve_once(
         obj,
     )
     return SolveResult(
-        plan=TransportPlan(T=T, row_marginal=x.a, col_marginal=y.a),
+        plan=TransportPlan(T=T, row_marginal=problem.a, col_marginal=problem.b),
         weights=SuppressionWeights(w=w, mode=mode, groups=groups),
         objective=float(obj),
         feature_term=float(parts[0]),
@@ -322,8 +295,9 @@ def solve_fsfgw(
 
     # feature_cost_stack validates the pair.
     stack = feature_cost_stack(x, y, q=config.q, norm=config.feature_norm)
-    # C1, C2 and q are fixed for every outer iteration and restart.
-    operator = StructureOperator(x.C, y.C, config.q)
+    # C1, C2, alpha, q and the marginals are fixed for every outer
+    # iteration and restart: checked, with K built, once.
+    problem = FgwProblem(C1=x.C, C2=y.C, alpha=config.alpha, q=config.q, a=x.a, b=y.a)
     groups = check_partition(config.groups, x.d) if config.mode == "group_simplex" else None
     # Groupwise scoring weighs each feature by 1 / |its group| (group means).
     inv_size = np.ones(x.d)
@@ -335,7 +309,7 @@ def solve_fsfgw(
         lam = None  # calibrated by the first solve
     else:
         lam = 0.0  # simplex modes carry no regularization level
-    best = _solve_once(x, y, stack, config, operator, groups, inv_size, lam, None)
+    best = _solve_once(problem, stack, config, groups, inv_size, lam, None)
     if config.restarts > 0:
         rng = np.random.default_rng(config.seed)
         flip = _flip_for_restarts(x, y)
@@ -344,7 +318,7 @@ def solve_fsfgw(
             drawn = random_coupling(first, second, rng)
             init = drawn.T.copy() if flip else drawn
             candidate = _solve_once(
-                x, y, stack, config, operator, groups, inv_size, best.lambda_used, init
+                problem, stack, config, groups, inv_size, best.lambda_used, init
             )
             if candidate.objective < best.objective:
                 best = candidate

@@ -28,6 +28,11 @@ different optimal vertex than a cold start; the assignment route ignores
 any basis and returns whichever permutation ``linear_sum_assignment``
 picks, which is fixed for a given cost but follows no index rule.
 
+``solve_emd`` checks its input on every call: a finite cost, nonnegative
+marginals of equal mass, and a basis that carries them on a spanning
+tree.  ``LpSolution.T`` is the solver's own read-only array, on the
+marginals by construction, and is not checked again.
+
 ``line_search_quadratic`` is the exact minimizer of a 1-D quadratic on
 [0, 1], used by the conditional-gradient solver.
 """
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import MARGINAL_TOL, FsfgwError, ShapeMismatch, TransportPlan
+from .core import MARGINAL_TOL, FsfgwError, ShapeMismatch
 
 __all__ = [
     "Infeasible",
@@ -80,6 +85,8 @@ class LpSolution:
     """An optimal vertex plan, its objective value, the pivot count, and
     the final basis.
 
+    ``T`` is the solver's own read-only n x m plan, not re-checked: it is
+    nonnegative and carries the marginals by construction.
     ``iterations`` counts network-simplex pivots; it is 0 when the
     assignment route solved the LP.  ``basis`` is the final spanning tree
     as read-only ``(arc_row, arc_col, arc_flow)`` arrays of n + m - 1 arcs;
@@ -88,7 +95,7 @@ class LpSolution:
     assignment route returns no basis.
     """
 
-    plan: TransportPlan
+    T: np.ndarray
     value: float
     iterations: int
     basis: Basis | None = None
@@ -221,8 +228,8 @@ def solve_emd(
         rows, perm = linear_sum_assignment(cost)
         T = np.zeros((n, m))
         T[rows, perm] = a
-        plan = TransportPlan(T=T, row_marginal=a, col_marginal=b)
-        return LpSolution(plan=plan, value=float(np.dot(cost[rows, perm], a)), iterations=0)
+        T.setflags(write=False)
+        return LpSolution(T=T, value=float(np.dot(cost[rows, perm], a)), iterations=0)
 
     if basis is None:
         arc_row, arc_col, arc_flow = _northwest_corner(a, b)
@@ -370,12 +377,9 @@ def solve_emd(
     T = np.zeros((n, m))
     T[arc_row, arc_col] = np.maximum(arc_flow, 0.0)
     value = float(np.dot(cost[arc_row, arc_col], np.maximum(arc_flow, 0.0)))
-    plan = TransportPlan(T=T, row_marginal=a, col_marginal=b)
-    for part in (arc_row, arc_col, arc_flow):
+    for part in (T, arc_row, arc_col, arc_flow):
         part.setflags(write=False)
-    return LpSolution(
-        plan=plan, value=value, iterations=pivots, basis=(arc_row, arc_col, arc_flow)
-    )
+    return LpSolution(T=T, value=value, iterations=pivots, basis=(arc_row, arc_col, arc_flow))
 
 
 def random_coupling(

@@ -6,6 +6,11 @@ HiGHS solver, the structure term is a literal four-index sum, weight
 subproblems are minimized by grid search or enumeration, and assignments
 by trying every permutation.  Test files import these as the second,
 independent route to each quantity.
+
+Two closed forms that the solver never evaluates live here too, built on
+the package's own structure term: ``fgw_objective`` (the fused objective
+at a plan) and ``reduced_objective_g`` (the weight subproblem minimized
+in closed form).
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
+
+from fsfgw.core import MARGINAL_TOL, InvalidConfig
+from fsfgw.fgw import gw_value
 
 
 def emd_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -65,6 +73,25 @@ def gw_gradient_quadruple(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: floa
     return G
 
 
+def assert_coupling(T: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """A solver's unchecked plan array: read-only, nonnegative, and within
+    MARGINAL_TOL of both marginals."""
+
+    assert not T.flags.writeable
+    assert T.min() >= 0.0
+    assert np.abs(T.sum(axis=1) - a).max() <= MARGINAL_TOL
+    assert np.abs(T.sum(axis=0) - b).max() <= MARGINAL_TOL
+
+
+def fgw_objective(T: np.ndarray, problem, M_eff: np.ndarray) -> float:
+    """(1 - alpha) <M_eff, T> + alpha GW(T) for an ``FgwProblem``."""
+
+    T = np.asarray(T, dtype=float)
+    feature = float(np.sum(M_eff * T))
+    structure = gw_value(T, problem.C1, problem.C2, problem.q)
+    return (1.0 - problem.alpha) * feature + problem.alpha * structure
+
+
 def finite_difference_gradient(value_fn, T: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function of a matrix."""
 
@@ -109,6 +136,29 @@ def subproblem_value(
     if mode == "ridge":
         return feature + lam * 0.5 * float(np.sum(w * w))
     return feature
+
+
+def reduced_objective_g(
+    scores: np.ndarray, alpha: float, lam: float, mode: str
+) -> float:
+    """Value of the feature-plus-regularization terms after minimizing the
+    weights in closed form, as a function of the scores alone.
+
+    lasso: sum_r min((1 - alpha) s_r, lambda).  ridge: per coordinate,
+    (1 - alpha) s_r - ((1 - alpha) s_r)^2 / (2 lambda) while the scaled
+    score is below lambda, saturating at lambda / 2 beyond.
+    """
+
+    scores = np.asarray(scores, dtype=float)
+    if lam <= 0.0:
+        raise InvalidConfig(f"the reduced objective needs lambda > 0, got {lam}")
+    t = (1.0 - alpha) * scores
+    if mode == "lasso":
+        return float(np.minimum(t, lam).sum())
+    if mode == "ridge":
+        below = t - t * t / (2.0 * lam)
+        return float(np.where(t <= lam, below, lam / 2.0).sum())
+    raise InvalidConfig(f"no reduced objective for mode {mode!r}")
 
 
 _GRID = np.linspace(0.0, 1.0, 1001)

@@ -1,7 +1,6 @@
 """Structure-distortion quartic form and the conditional-gradient solver."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,24 +14,29 @@ from fsfgw.fgw import (
     FgwProblem,
     InstanceTooLarge,
     StructureOperator,
-    fgw_objective,
     gw_gradient,
     gw_value,
     solve_fgw,
 )
 from fsfgw.suppression import solve_fsfgw
-
+from oracles import fgw_objective
 
 def random_problem(rng, n, m, alpha=0.5, q=2.0):
-    return FgwProblem(
-        C1=oracles.random_structure(rng, n),
-        C2=oracles.random_structure(rng, m),
-        M_eff=rng.uniform(0.0, 1.0, (n, m)),
+    """A random problem and feature cost, drawn in the order C1, C2,
+    M_eff, a, b."""
+
+    C1 = oracles.random_structure(rng, n)
+    C2 = oracles.random_structure(rng, m)
+    M_eff = rng.uniform(0.0, 1.0, (n, m))
+    problem = FgwProblem(
+        C1=C1,
+        C2=C2,
         alpha=alpha,
         q=q,
         a=oracles.random_measure(rng, n),
         b=oracles.random_measure(rng, m),
     )
+    return problem, M_eff
 
 
 class TestGwValue:
@@ -206,38 +210,41 @@ class TestGwGradient:
 class TestFgwObjective:
     def test_alpha_extremes(self):
         rng = np.random.default_rng(7)
-        prob1 = random_problem(rng, 4, 5, alpha=1.0)
+        prob1, M = random_problem(rng, 4, 5, alpha=1.0)
         T = oracles.ipf_coupling(prob1.a, prob1.b, rng)
-        assert fgw_objective(T, prob1) == pytest.approx(
+        assert fgw_objective(T, prob1, M) == pytest.approx(
             gw_value(T, prob1.C1, prob1.C2), abs=1e-12
         )
         prob0 = FgwProblem(
-            C1=prob1.C1, C2=prob1.C2, M_eff=prob1.M_eff, alpha=0.0, q=2.0,
+            C1=prob1.C1, C2=prob1.C2, alpha=0.0, q=2.0,
             a=prob1.a, b=prob1.b,
         )
-        assert fgw_objective(T, prob0) == pytest.approx(
-            float((prob1.M_eff * T).sum()), abs=1e-12
+        assert fgw_objective(T, prob0, M) == pytest.approx(
+            float((M * T).sum()), abs=1e-12
         )
 
     def test_composition(self):
         rng = np.random.default_rng(8)
-        prob = random_problem(rng, 3, 4, alpha=0.3)
+        prob, M = random_problem(rng, 3, 4, alpha=0.3)
         T = oracles.ipf_coupling(prob.a, prob.b, rng)
-        feature = float((prob.M_eff * T).sum())
+        feature = float((M * T).sum())
         structure = gw_value(T, prob.C1, prob.C2)
-        assert fgw_objective(T, prob) == pytest.approx(
+        assert fgw_objective(T, prob, M) == pytest.approx(
             0.7 * feature + 0.3 * structure, abs=1e-12
         )
 
     def test_problem_validation(self):
         with pytest.raises(ShapeMismatch):
-            FgwProblem(
-                C1=np.zeros((3, 3)), C2=np.zeros((2, 2)), M_eff=np.zeros((2, 2)),
-                alpha=0.5, q=2.0, a=np.full(3, 1 / 3), b=np.full(2, 0.5),
+            solve_fgw(
+                FgwProblem(
+                    C1=np.zeros((3, 3)), C2=np.zeros((2, 2)),
+                    alpha=0.5, q=2.0, a=np.full(3, 1 / 3), b=np.full(2, 0.5),
+                ),
+                np.zeros((2, 2)),
             )
         with pytest.raises(ShapeMismatch):
             FgwProblem(
-                C1=np.zeros((2, 2)), C2=np.zeros((2, 2)), M_eff=np.zeros((2, 2)),
+                C1=np.zeros((2, 2)), C2=np.zeros((2, 2)),
                 alpha=1.5, q=2.0, a=np.full(2, 0.5), b=np.full(2, 0.5),
             )
 
@@ -252,66 +259,68 @@ class TestSolveFgw:
         )
         stack = feature_cost_stack(obj, obj)
         prob = FgwProblem(
-            C1=obj.C, C2=obj.C, M_eff=stack.sum(axis=0), alpha=0.5, q=2.0,
+            C1=obj.C, C2=obj.C, alpha=0.5, q=2.0,
             a=obj.a, b=obj.a,
         )
-        assert solve_fgw(prob).objective <= 1e-8
+        assert solve_fgw(prob, stack.sum(axis=0)).objective <= 1e-8
 
     def test_alpha_one_ignores_features(self):
         rng = np.random.default_rng(10)
-        base = random_problem(rng, 4, 4, alpha=1.0)
+        base, M = random_problem(rng, 4, 4, alpha=1.0)
         other = FgwProblem(
-            C1=base.C1, C2=base.C2, M_eff=rng.uniform(5.0, 9.0, (4, 4)),
+            C1=base.C1, C2=base.C2,
             alpha=1.0, q=2.0, a=base.a, b=base.b,
         )
-        s1 = solve_fgw(base)
-        s2 = solve_fgw(other)
+        s1 = solve_fgw(base, M)
+        s2 = solve_fgw(other, rng.uniform(5.0, 9.0, (4, 4)))
         assert s1.objective == s2.objective
-        assert np.array_equal(s1.plan.T, s2.plan.T)
+        assert np.array_equal(s1.T, s2.T)
 
     def test_beats_grid_on_two_by_two(self):
         """U(a, b) for n=m=2 is the segment T(t) = [[t, a1-t], [b1-t, ...]]
         with t in [max(0, a1+b1-1), min(a1, b1)]; sample it densely."""
         rng = np.random.default_rng(11)
         for _ in range(10):
-            prob = random_problem(rng, 2, 2, alpha=float(rng.uniform(0.1, 0.9)))
-            sol = solve_fgw(prob)
+            prob, M = random_problem(rng, 2, 2, alpha=float(rng.uniform(0.1, 0.9)))
+            sol = solve_fgw(prob, M)
             a1, b1 = prob.a[0], prob.b[0]
             lo, hi = max(0.0, a1 + b1 - 1.0), min(a1, b1)
             best = np.inf
             for t in np.linspace(lo, hi, 2500):
                 T = np.array([[t, a1 - t], [b1 - t, 1.0 - a1 - b1 + t]])
-                best = min(best, fgw_objective(T, prob))
+                best = min(best, fgw_objective(T, prob, M))
             assert sol.objective <= best + 1e-6
 
     def test_warm_start_of_converged_plan_is_identity(self):
         rng = np.random.default_rng(12)
-        prob = random_problem(rng, 5, 4)
-        first = solve_fgw(prob)
-        again = solve_fgw(prob, init=first.plan)
-        assert np.array_equal(again.plan.T, first.plan.T)
+        prob, M = random_problem(rng, 5, 4)
+        first = solve_fgw(prob, M)
+        again = solve_fgw(prob, M, init=first.T)
+        assert np.array_equal(again.T, first.T)
         assert again.objective <= first.objective + 1e-12
 
     def test_trace_is_non_increasing(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
-            prob = random_problem(rng, 6, 5, alpha=float(rng.uniform(0.2, 0.8)))
-            trace = solve_fgw(prob).trace
+            prob, M = random_problem(rng, 6, 5, alpha=float(rng.uniform(0.2, 0.8)))
+            sol = solve_fgw(prob, M)
+            oracles.assert_coupling(sol.T, prob.a, prob.b)
+            trace = sol.trace
             assert len(trace) >= 1
             assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_armijo_route_for_general_exponent(self):
         rng = np.random.default_rng(14)
-        prob = random_problem(rng, 4, 4, q=1.5)
-        sol = solve_fgw(prob)
-        init_obj = fgw_objective(np.outer(prob.a, prob.b), prob)
+        prob, M = random_problem(rng, 4, 4, q=1.5)
+        sol = solve_fgw(prob, M)
+        init_obj = fgw_objective(np.outer(prob.a, prob.b), prob, M)
         assert sol.objective <= init_obj + 1e-12
 
     def test_bad_warm_start_shape(self):
         rng = np.random.default_rng(15)
-        prob = random_problem(rng, 3, 3)
+        prob, M = random_problem(rng, 3, 3)
         with pytest.raises(ShapeMismatch):
-            solve_fgw(prob, init=np.full((2, 2), 0.25))
+            solve_fgw(prob, M, init=np.full((2, 2), 0.25))
 
     def test_lp_pivots_sum_the_lp_iterations(self, monkeypatch):
         pivots = []
@@ -323,7 +332,7 @@ class TestSolveFgw:
             return sol
 
         monkeypatch.setattr(fsfgw.fgw, "solve_emd", counting)
-        sol = solve_fgw(random_problem(np.random.default_rng(16), 9, 7))
+        sol = solve_fgw(*random_problem(np.random.default_rng(16), 9, 7))
         assert sol.lp_pivots == sum(pivots) > 0
         assert sol.basis is not None
 
@@ -331,14 +340,15 @@ class TestSolveFgw:
         # An outer step of the alternating solve changes only the feature
         # cost, so the last LP basis stays feasible for the next solve.
         rng = np.random.default_rng(17)
-        prob = random_problem(rng, 20, 24)
-        first = solve_fgw(prob)
-        shrink = rng.uniform(0.5, 1.0, prob.M_eff.shape)
-        step = replace(prob, M_eff=prob.M_eff * shrink)
-        cold = solve_fgw(step, first.plan)
-        warm = solve_fgw(step, first.plan, basis=first.basis)
+        prob, M = random_problem(rng, 20, 24)
+        first = solve_fgw(prob, M)
+        shrink = rng.uniform(0.5, 1.0, M.shape)
+        step = M * shrink
+        cold = solve_fgw(prob, step, first.T)
+        warm = solve_fgw(prob, step, first.T, basis=first.basis)
         assert warm.lp_pivots < cold.lp_pivots
-        start = fgw_objective(first.plan, step)
+        oracles.assert_coupling(warm.T, prob.a, prob.b)
+        start = fgw_objective(first.T, prob, step)
         assert max(warm.objective, cold.objective) <= start + 1e-12
 
 
@@ -356,15 +366,15 @@ class TestLinearOperator:
         # kernel, so the objective along T + gamma D has no cubic or
         # higher term, whatever q is.
         rng = np.random.default_rng(seed)
-        prob = random_problem(rng, n, m, alpha=float(rng.uniform()), q=q)
+        prob, M = random_problem(rng, n, m, alpha=float(rng.uniform()), q=q)
         T = oracles.ipf_coupling(prob.a, prob.b, rng)
         D = oracles.ipf_coupling(prob.a, prob.b, rng) - T
-        grad = (1.0 - prob.alpha) * prob.M_eff + prob.alpha * gw_gradient(
+        grad = (1.0 - prob.alpha) * M + prob.alpha * gw_gradient(
             T, prob.C1, prob.C2, q
         )
         quad = 0.5 * prob.alpha * float(np.sum(gw_gradient(D, prob.C1, prob.C2, q) * D))
-        expected = fgw_objective(T, prob) + gamma * float(np.sum(grad * D)) + gamma**2 * quad
-        assert fgw_objective(T + gamma * D, prob) == pytest.approx(expected, rel=1e-12)
+        expected = fgw_objective(T, prob, M) + gamma * float(np.sum(grad * D)) + gamma**2 * quad
+        assert fgw_objective(T + gamma * D, prob, M) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_one_operator_call_per_line_search(self, monkeypatch, q):
@@ -382,20 +392,20 @@ class TestLinearOperator:
 
         def recording(cost, *args, **kwargs):
             sol = real_emd(cost, *args, **kwargs)
-            lps.append((cost, sol.plan.T))
+            lps.append((cost, sol.T))
             return sol
 
         monkeypatch.setattr(fsfgw.fgw, "solve_emd", recording)
-        prob = random_problem(np.random.default_rng(20), 8, 7, alpha=0.8, q=q)
-        sol = solve_fgw(prob)
+        prob, M = random_problem(np.random.default_rng(20), 8, 7, alpha=0.8, q=q)
+        sol = solve_fgw(prob, M)
         counted = dict(calls)
         assert sol.cg_iters >= 3 and len(lps) < 200
         # Every LP but the last led to an accepted step; the last reached
         # the line search unless its vertex was stationary.
         cost, vertex = lps[-1]
-        reached = len(lps) - 1 + (float(np.sum(cost * (vertex - sol.plan.T))) < 0.0)
+        reached = len(lps) - 1 + (float(np.sum(cost * (vertex - sol.T))) < 0.0)
         assert counted == {"gw_gradient": 1 + reached, "gw_value": 0}
-        assert sol.objective == pytest.approx(fgw_objective(sol.plan, prob), rel=1e-12)
+        assert sol.objective == pytest.approx(fgw_objective(sol.T, prob, M), rel=1e-12)
         assert all(b < a for a, b in zip(sol.trace, sol.trace[1:]))
 
 

@@ -159,11 +159,12 @@ class TestGenerateSyntheticPair:
         stack = feature_cost_stack(x, y)
         sol = solve_fgw(
             FgwProblem(
-                C1=x.C, C2=y.C, M_eff=stack.sum(axis=0), alpha=0.5, q=2.0,
+                C1=x.C, C2=y.C, alpha=0.5, q=2.0,
                 a=x.a, b=y.a,
-            )
+            ),
+            stack.sum(axis=0),
         )
-        return feature_scores(sol.plan, stack)
+        return feature_scores(sol.T, stack)
 
     def _score_ratio(self, spec):
         x, y, diff = generate_synthetic_pair(spec)

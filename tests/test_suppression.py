@@ -20,13 +20,13 @@ from fsfgw.core import (
     feature_scores,
 )
 from fsfgw.fgw import FgwProblem, solve_fgw
+from oracles import reduced_objective_g
 from fsfgw.suppression import (
     InvalidFraction,
     InvalidPartition,
     MissingLambda,
     WeightUpdateInput,
     calibrate_lambda,
-    reduced_objective_g,
     solve_fsfgw,
     update_weights,
     update_weights_group_simplex,
@@ -308,12 +308,13 @@ class TestSolveFsfgw:
         stack = feature_cost_stack(x, y)
         classical = solve_fgw(
             FgwProblem(
-                C1=x.C, C2=y.C, M_eff=stack.sum(axis=0), alpha=0.5, q=2.0,
+                C1=x.C, C2=y.C, alpha=0.5, q=2.0,
                 a=x.a, b=y.a,
-            )
+            ),
+            stack.sum(axis=0),
         )
         assert result.objective == pytest.approx(classical.objective, abs=1e-10)
-        assert np.array_equal(result.plan.T, classical.plan.T)
+        assert np.array_equal(result.plan.T, classical.T)
 
     def test_objective_terms_compose(self):
         rng = np.random.default_rng(5)
@@ -367,11 +368,12 @@ class TestSolveFsfgw:
         stack = feature_cost_stack(x, y)
         t0 = solve_fgw(
             FgwProblem(
-                C1=x.C, C2=y.C, M_eff=stack.sum(axis=0), alpha=0.5, q=2.0,
+                C1=x.C, C2=y.C, alpha=0.5, q=2.0,
                 a=x.a, b=y.a,
-            )
+            ),
+            stack.sum(axis=0),
         )
-        expected = calibrate_lambda(feature_scores(t0.plan, stack), 0.5, 0.25)
+        expected = calibrate_lambda(feature_scores(t0.T, stack), 0.5, 0.25)
         assert r.lambda_used == pytest.approx(expected, abs=1e-12)
 
     def test_group_scores_are_averaged_in_the_objective(self):
@@ -384,7 +386,7 @@ class TestSolveFsfgw:
             x, y, FsFgwConfig(mode="group_simplex", groups=((0, 1), (2, 3)))
         )
         stack = feature_cost_stack(x, y)
-        scores = feature_scores(r.plan, stack)
+        scores = feature_scores(r.plan.T, stack)
         inv = np.array([0.5, 0.5, 0.5, 0.5])
         manual = 0.5 * float(((1.0 - r.weights.w) * inv * scores).sum())
         assert r.feature_term == pytest.approx(manual, abs=1e-12)
@@ -494,6 +496,28 @@ class TestSolveFsfgw:
         x, y = make_object(rng, 5, 3), make_object(rng, 4, 3)
         solve_fsfgw(x, y, FsFgwConfig(mode="lasso", lam=0.1, restarts=1))
         assert len(calls) == 1
+
+    def test_fixed_problem_checked_once_and_plans_once_per_solve(self, monkeypatch):
+        # Inner LP and CG results travel as arrays: the only checked plan
+        # is the one each alternating solve returns.
+        import fsfgw.core
+        import fsfgw.fgw
+
+        counts = {"problem": 0, "plan": 0}
+        for key, cls in (("problem", fsfgw.fgw.FgwProblem), ("plan", fsfgw.core.TransportPlan)):
+            real = cls.__post_init__
+
+            def counting(self, _real=real, _key=key):
+                counts[_key] += 1
+                _real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        rng = np.random.default_rng(15)
+        x, y = make_object(rng, 5, 3), make_object(rng, 4, 3)
+        restarts = 1
+        result = solve_fsfgw(x, y, FsFgwConfig(mode="lasso", lam=0.1, restarts=restarts))
+        assert result.outer_iters >= 1
+        assert counts == {"problem": 1, "plan": 1 + restarts}
 
     def test_result_serializes_with_the_level_key(self):
         rng = np.random.default_rng(13)
