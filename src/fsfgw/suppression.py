@@ -205,9 +205,12 @@ def _solve_once(
     inv_size: np.ndarray,
     lam: float | None,
     init: np.ndarray | None,
+    flip: bool,
 ) -> SolveResult:
     """One alternating solve from ``init`` (a b^T when None).  Iteration 0
-    is the unsuppressed solve; with ``lam`` None it calibrates the level."""
+    is the unsuppressed solve; with ``lam`` None it calibrates the level.
+    With ``flip`` the returned plan is transposed back to the caller's
+    orientation."""
 
     alpha, q, mode = config.alpha, config.q, config.mode
     w = w_new = np.zeros(stack.shape[0])
@@ -246,8 +249,9 @@ def _solve_once(
         converged,
         obj,
     )
+    rows, cols = (problem.b, problem.a) if flip else (problem.a, problem.b)
     return SolveResult(
-        plan=TransportPlan(T=T, row_marginal=problem.a, col_marginal=problem.b),
+        plan=TransportPlan(T=T.T if flip else T, row_marginal=rows, col_marginal=cols),
         weights=SuppressionWeights(w=w, mode=mode, groups=groups),
         objective=float(obj),
         feature_term=float(parts[0]),
@@ -261,13 +265,9 @@ def _solve_once(
     )
 
 
-def _flip_for_restarts(x: StructuredObject, y: StructuredObject) -> bool:
-    """Orient the pair canonically so restart draws ignore argument order.
-
-    Restart couplings are sampled for the canonical orientation and
-    transposed back when the caller passed the arguments the other way
-    around.  Both solve directions then explore exactly transposed initial
-    couplings, which keeps the returned value symmetric in its arguments.
+def _canonical_flip(x: StructuredObject, y: StructuredObject) -> bool:
+    """Whether (x, y) is the other orientation of the canonical pair: the
+    smaller object first, then the smaller byte content of (C, a, X).
     Ties (identical byte content) leave the order as given.
     """
 
@@ -291,10 +291,18 @@ def solve_fsfgw(
     1e-7; hitting ``max_outer_iter`` instead is reported via
     ``converged=False``, not an error.  With ``restarts > 0`` the solve is
     repeated from random feasible couplings and the lowest objective wins.
+
+    Argument symmetry: every pair is solved in one canonical orientation,
+    so the objective, terms, weights, scores, level and trace of (x, y)
+    are the same bits as those of (y, x), and the plan is the transpose.
     """
 
-    # feature_cost_stack validates the pair.
+    # feature_cost_stack validates the pair.  Its cost |x_r - y_r|^q is
+    # exactly symmetric, so the transposed stack is the canonical one.
     stack = feature_cost_stack(x, y, q=config.q, norm=config.feature_norm)
+    flip = _canonical_flip(x, y)
+    if flip:
+        x, y, stack = y, x, np.ascontiguousarray(stack.transpose(0, 2, 1))
     # C1, C2, alpha, q and the marginals are fixed for every outer
     # iteration and restart: checked, with K built, once.
     problem = FgwProblem(C1=x.C, C2=y.C, alpha=config.alpha, q=config.q, a=x.a, b=y.a)
@@ -309,16 +317,13 @@ def solve_fsfgw(
         lam = None  # calibrated by the first solve
     else:
         lam = 0.0  # simplex modes carry no regularization level
-    best = _solve_once(problem, stack, config, groups, inv_size, lam, None)
+    best = _solve_once(problem, stack, config, groups, inv_size, lam, None, flip)
     if config.restarts > 0:
         rng = np.random.default_rng(config.seed)
-        flip = _flip_for_restarts(x, y)
-        first, second = (y.a, x.a) if flip else (x.a, y.a)
         for _ in range(config.restarts):
-            drawn = random_coupling(first, second, rng)
-            init = drawn.T.copy() if flip else drawn
+            init = random_coupling(x.a, y.a, rng)
             candidate = _solve_once(
-                problem, stack, config, groups, inv_size, best.lambda_used, init
+                problem, stack, config, groups, inv_size, best.lambda_used, init, flip
             )
             if candidate.objective < best.objective:
                 best = candidate
