@@ -6,10 +6,14 @@
 Every file uses seed 1 and 30 s runs.  Files written at different times can
 differ with the machine's speed, so a change is shown by runs of both commits
 made back to back.
+The file names the tree it measured: ``dirty`` is whether the checkout had
+uncommitted changes (``git status --porcelain``) and ``diff_sha256`` is the
+SHA-256 of its ``git diff HEAD``, both read before the runs; both are null
+when the checkout is not a git work tree.
 A run whose result is not ``correct`` stops the script with a non-zero exit
 before anything is written.
 """
-import argparse, json, subprocess, sys
+import argparse, hashlib, json, subprocess, sys
 from pathlib import Path
 
 SEED = 1
@@ -19,7 +23,19 @@ parser.add_argument("tag")
 parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="checkout to benchmark (default: this one)")
 args = parser.parse_args()
-doc = {"seed": SEED, "seconds": SECONDS, "environment": None, "results": []}
+
+
+def git(*argv) -> bytes:
+    return subprocess.run(["git", *argv], cwd=args.root, capture_output=True, check=True).stdout
+
+
+try:
+    dirty = bool(git("status", "--porcelain").strip())
+    diff_sha256 = hashlib.sha256(git("diff", "--no-ext-diff", "HEAD")).hexdigest()
+except (OSError, subprocess.CalledProcessError):
+    dirty = diff_sha256 = None
+doc = {"seed": SEED, "seconds": SECONDS, "dirty": dirty, "diff_sha256": diff_sha256,
+       "environment": None, "results": []}
 for workload in ("synth-uniform", "redistrict-cluster", "pairwise-q1-pool"):
     for trace in (0, 1):
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",

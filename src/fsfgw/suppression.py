@@ -12,8 +12,9 @@ regularizer admits an exact weight update:
 gradient transport solves: each outer iteration starts from the previous
 plan and from the previous LP basis.  The basis never leaves one
 alternating solve (restarts start cold), so a solve is a function of
-(x, y, config).  The structure operator, the partition and the level are
-set up once per solve and shared by every outer iteration and restart.
+(x, y, config).  The FGW problem with its structure operator, the
+partition and the level are set up once per solve and shared by every
+outer iteration and restart.
 The groupwise objective weighs each feature score by the reciprocal of its
 group size (group-mean form), in both the update and the reported objective.
 """

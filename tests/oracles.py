@@ -7,10 +7,11 @@ subproblems are minimized by grid search or enumeration, and assignments
 by trying every permutation.  Test files import these as the second,
 independent route to each quantity.
 
-Two closed forms that the solver never evaluates live here too, built on
-the package's own structure term: ``fgw_objective`` (the fused objective
-at a plan) and ``reduced_objective_g`` (the weight subproblem minimized
-in closed form).
+Two closed forms that the package itself never evaluates live here too:
+``fgw_objective`` (the fused objective at a plan, on the package's own
+``gw_value``) and ``reduced_objective_g`` (the weight subproblem
+minimized in closed form).  ``assert_coupling`` states what the solvers'
+unchecked plan arrays must satisfy.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """The example scripts run end to end and write their CSV outputs; the BENCH
-and pair scripts refuse failing benchmark runs."""
+and pair scripts refuse failing benchmark runs, and a BENCH file names the
+tree it measured."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -112,3 +115,38 @@ def test_bench_pairs_refuses_an_incorrect_run(tmp_path):
     assert proc.returncode != 0
     assert "synth-uniform seed 3 on the change" in proc.stderr
     assert proc.stdout == ""
+
+
+def git(root, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=test", "-c", "user.email=test@example.com", *args],
+        cwd=root, capture_output=True, check=True,
+    ).stdout
+
+
+def test_bench_json_records_the_measured_tree(tmp_path):
+    root = stub_checkout(tmp_path / "checkout", 1.0)
+    git(root, "init", "-q")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "stub")
+    tag = "tree-by-test"
+    written = ROOT / f"BENCH_{tag}.json"
+    try:
+        proc = run_script("bench_json.py", tag, "--root", str(root))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(written.read_text())
+        assert doc["dirty"] is False
+        assert doc["diff_sha256"] == hashlib.sha256(b"").hexdigest()
+        assert len(doc["results"]) == 6
+
+        run_py = root / "perfbench" / "run.py"
+        run_py.write_text(run_py.read_text() + "# an uncommitted edit\n")
+        diff = git(root, "diff", "HEAD")
+        assert diff
+        proc = run_script("bench_json.py", tag, "--root", str(root))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(written.read_text())
+        assert doc["dirty"] is True
+        assert doc["diff_sha256"] == hashlib.sha256(diff).hexdigest()
+    finally:
+        written.unlink(missing_ok=True)

@@ -20,7 +20,6 @@ from fsfgw.core import (
     feature_scores,
 )
 from fsfgw.fgw import FgwProblem, solve_fgw
-from oracles import reduced_objective_g
 from fsfgw.suppression import (
     InvalidFraction,
     InvalidPartition,
@@ -34,6 +33,7 @@ from fsfgw.suppression import (
     update_weights_ridge,
     update_weights_simplex,
 )
+from oracles import reduced_objective_g
 
 
 def make_object(rng, n, d, uniform=True):
