@@ -40,6 +40,7 @@ from .fgw import InstanceTooLarge
 from .pipelines import (
     DisconnectedAfterRetries,
     PairwiseSolveError,
+    PlanCache,
     SyntheticSpec,
     compare_plans,
     complete_linkage_cluster,
@@ -378,11 +379,13 @@ def cmd_redistrict_compare(args) -> int:
     return 0
 
 
-def _plan_pair(i, j, plan_p, plan_q, context):
+def _plan_pair(i, j, plan_p, plan_q, cache):
     # compare_plans is looked up in this module at call time, where
-    # perfbench's tracer wraps it.
-    graph, config = context
-    return compare_plans(graph, plan_p, plan_q, config).total_distance, None
+    # perfbench's tracer wraps it.  The record is this pair's share of the
+    # cache counts; a pool task works on its own copy of the cache.
+    before = cache.counts.copy()
+    distance = compare_plans(cache.graph, plan_p, plan_q, cache.config, cache).total_distance
+    return distance, cache.counts - before
 
 
 def _plan_matrix(args):
@@ -394,7 +397,8 @@ def _plan_matrix(args):
     if len(plans) < 2:
         raise InvalidConfig("need at least two plans for a distance matrix")
     config = _config_from_args(args)
-    D, _ = pair_matrix(_plan_pair, plans, (graph, config), args.workers)
+    D, counts = pair_matrix(_plan_pair, plans, PlanCache(graph, config), args.workers)
+    logger.info("built %d of %d districts and ran %d of %d solves", *np.sum(counts, axis=0))
     out = _out_dir(args)
     _write_matrix(out / "plan_distances.csv", [p.plan_id for p in plans], D)
     _write_manifest(

@@ -19,7 +19,7 @@ import csv
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -40,6 +40,7 @@ from .core import (
     SolveResult,
     StructuredObject,
     SuppressionWeights,
+    TransportPlan,
 )
 from .suppression import solve_fsfgw
 
@@ -69,6 +70,7 @@ __all__ = [
     "district_object",
     "match_districts",
     "PlanComparison",
+    "PlanCache",
     "compare_plans",
     "load_structured_object",
     "structured_object_to_dict",
@@ -354,6 +356,8 @@ def pair_matrix(task, items: Sequence, context, workers: int = 1):
     the records in pair order.
     """
 
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     items = list(items)
     N = len(items)
     pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
@@ -620,36 +624,74 @@ class PlanComparison:
         }
 
 
+class PlanCache:
+    """Districts, keyed on their sorted precinct indices, and district-pair
+    solves of one command on one graph and config.  ``counts`` holds the
+    districts built and asked for, then the solves run and asked for."""
+
+    def __init__(self, graph: PrecinctGraph, config: FsFgwConfig) -> None:
+        self.graph, self.config = graph, config
+        self.districts: dict[tuple[int, ...], StructuredObject] = {}
+        self.results: dict[tuple[tuple[int, ...], tuple[int, ...]], SolveResult] = {}
+        self.counts = np.zeros(4, dtype=np.int64)
+
+    def district(self, plan: RedistrictingPlan, label: int) -> tuple[int, ...]:
+        key = tuple(np.flatnonzero(plan.assignment == label).tolist())
+        self.counts[1] += 1
+        if key not in self.districts:
+            self.counts[0] += 1
+            self.districts[key] = district_object(self.graph, key)
+        return key
+
+    def solve(self, kp: tuple[int, ...], kq: tuple[int, ...]) -> tuple[SolveResult, bool]:
+        """The result for districts (kp, kq) and whether it was solved now."""
+        self.counts[3] += 1
+        if (kp, kq) in self.results:
+            return self.results[kp, kq], False
+        if (kq, kp) in self.results:
+            r = self.results[kq, kp]
+            plan = TransportPlan(r.plan.T.T, r.plan.col_marginal, r.plan.row_marginal)
+            return replace(r, plan=plan), False
+        self.counts[2] += 1
+        x, y = self.districts[kp], self.districts[kq]
+        self.results[kp, kq] = solve_fsfgw(x, y, self.config)
+        return self.results[kp, kq], True
+
+
 def compare_plans(
     graph: PrecinctGraph,
     plan_p: RedistrictingPlan,
     plan_q: RedistrictingPlan,
     config: FsFgwConfig,
+    cache: PlanCache | None = None,
 ) -> PlanComparison:
     """Solve one suppression-transport problem per matched district pair.
 
     Both plans must cover the graph's precinct universe.  The total
     distance is the sum of matched-pair objectives; the weight matrix
     stacks each pair's suppression weights (one row per matched pair, in
-    matching order).
+    matching order).  Districts and solves come from ``cache``, shared by
+    the comparisons of one command, or from a fresh one.  It holds at most
+    one object per distinct district and one result per distinct unordered
+    matched pair; a swapped hit returns the stored result with its plan
+    transposed, the same bits as a new solve (see ``solve_fsfgw``).
     """
 
     if plan_p.P != graph.P or plan_q.P != graph.P:
         raise PrecinctUniverseMismatch(
             f"plans cover {plan_p.P}/{plan_q.P} precincts, graph has {graph.P}"
         )
+    cache = cache or PlanCache(graph, config)
+    if cache.graph is not graph or cache.config != config:
+        raise InvalidConfig("the plan cache belongs to another graph or config")
     matching = match_districts(plan_p, plan_q)
     results = []
     for label_p, label_q in matching:
-        obj_p = district_object(graph, np.flatnonzero(plan_p.assignment == label_p))
-        obj_q = district_object(graph, np.flatnonzero(plan_q.assignment == label_q))
-        results.append(solve_fsfgw(obj_p, obj_q, config))
-        logger.info(
-            "district pair (%d, %d): objective %.6g",
-            label_p,
-            label_q,
-            results[-1].objective,
-        )
+        kp, kq = cache.district(plan_p, label_p), cache.district(plan_q, label_q)
+        result, ran = cache.solve(kp, kq)
+        results.append(result)
+        logger.info("district pair (%d, %d): objective %.6g, %s", label_p, label_q,
+                    result.objective, "solved" if ran else "reused")
     weight_matrix = np.array([r.weights.w for r in results])
     return PlanComparison(
         matching=tuple(matching),

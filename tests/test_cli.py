@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import logging
 import shlex
 from pathlib import Path
 
@@ -562,6 +563,53 @@ class TestRedistrictCommands:
             serial = (tmp_path / "serial" / name).read_bytes()
             assert serial == (tmp_path / "pool" / name).read_bytes(), name
 
+    @staticmethod
+    def three_plans(tmp_path):
+        """The grid fixture's plans p and q plus r, a copy of p: the (q, r)
+        comparison meets the district pairs of (p, q) swapped."""
+        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        third = tmp_path / "plan_r.csv"
+        third.write_text(plan_p.read_text())
+        return [str(nodes), str(edges), str(plan_p), str(plan_q), str(third)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["matrix", "cluster"])
+    def test_plan_distances_equal_the_direct_route(self, tmp_path, capsys, command, workers):
+        paths = self.three_plans(tmp_path)
+        argv = ["redistrict", command, *paths, "--lambda", "0.2", "--workers", workers]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        # Every plan pair solved without any reuse.
+        config = fsfgw.cli._config_from_args(_build_parser().parse_args(argv))
+        graph = fsfgw.load_precinct_graph(paths[0], paths[1])
+        plans = [fsfgw.load_plan_csv(path, graph) for path in paths[2:]]
+        D = np.zeros((3, 3))
+        for i in range(3):
+            for j in range(i + 1, 3):
+                D[i, j] = D[j, i] = sum(
+                    fsfgw.solve_fsfgw(
+                        fsfgw.district_object(graph, np.flatnonzero(plans[i].assignment == lp)),
+                        fsfgw.district_object(graph, np.flatnonzero(plans[j].assignment == lq)),
+                        config,
+                    ).objective
+                    for lp, lq in fsfgw.match_districts(plans[i], plans[j])
+                )
+        fsfgw.cli._write_matrix(tmp_path / "expected.csv", ["p", "q", "r"], D)
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "o" / "plan_distances.csv").read_bytes() == expected
+
+    def test_info_log_says_what_was_reused(self, tmp_path, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="fsfgw")
+        argv = ["redistrict", "matrix", *self.three_plans(tmp_path), "--lambda", "0.2"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        lines = [r.getMessage() for r in caplog.records]
+        # p has districts 1, 2, 3 and q shares 1: five distinct districts;
+        # (p, q) and (p, r) solve five distinct pairs, and (q, r) reuses them.
+        assert lines[-1] == "built 5 of 18 districts and ran 5 of 9 solves"
+        assert [line.rsplit(", ", 1)[1] for line in lines[:-1]] == ["solved"] * 3 + [
+            "reused", "solved", "solved"] + ["reused"] * 3
+
     def test_matrix_needs_two_plans(self, tmp_path, capsys):
         nodes, edges, plan_p, _ = write_grid_fixture(tmp_path)
         code = main(
@@ -570,6 +618,25 @@ class TestRedistrictCommands:
         )
         assert code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", ["pairwise", "matrix", "cluster"])
+def test_workers_below_one_are_a_validation_error(tmp_path, capsys, command, workers):
+    if command == "pairwise":
+        obj_dir = tmp_path / "objects"
+        obj_dir.mkdir()
+        rng = np.random.default_rng(3)
+        for k in range(2):
+            write_object(obj_dir / f"g{k}.json", rng, 4, 3)
+        argv = ["pairwise", str(obj_dir)]
+    else:
+        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        argv = ["redistrict", command, str(nodes), str(edges), str(plan_p), str(plan_q)]
+    code = main(argv + ["--workers", workers, "--out", str(tmp_path / "o")])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err.strip())
+    assert doc == {"error": "InvalidConfig", "message": f"workers must be >= 1, got {workers}"}
 
 
 def test_bench_tracer_sees_every_layer(tmp_path, capsys):

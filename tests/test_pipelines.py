@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import fsfgw.pipelines as pipelines
 import oracles
 from fsfgw.core import (
     FsFgwConfig,
@@ -25,6 +26,7 @@ from fsfgw.pipelines import (
     InvalidObjectFile,
     Merge,
     PairwiseSolveError,
+    PlanCache,
     PrecinctGraph,
     PrecinctUniverseMismatch,
     RedistrictingPlan,
@@ -39,6 +41,7 @@ from fsfgw.pipelines import (
     load_precinct_graph,
     load_structured_object,
     match_districts,
+    pair_matrix,
     pairwise_distance_matrix,
     roc_sweep,
     separation_metric,
@@ -259,6 +262,11 @@ class TestPairwiseDistanceMatrix:
         parallel, _ = pairwise_distance_matrix(objs, QUICK, workers=2)
         assert np.array_equal(serial, parallel)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_are_rejected(self, workers):
+        with pytest.raises(InvalidConfig, match="workers must be >= 1"):
+            pair_matrix(pytest.fail, [1, 2, 3], None, workers)
+
     def test_failures_name_the_pair(self):
         rng = np.random.default_rng(8)
         objs = [make_object(rng, 4, 3), make_object(rng, 4, 2)]
@@ -443,6 +451,58 @@ class TestComparePlans:
         # District 1 is untouched by the move; 2 and 3 exchange a precinct.
         assert per_pair[0] <= 1e-8
         assert max(per_pair[1], per_pair[2]) > 1e-6
+
+    def test_shared_cache_builds_each_district_and_solves_each_pair_once(
+        self, monkeypatch
+    ):
+        graph, plan_p, plan_q, _ = band_fixture()
+        built, solved = [], []
+        build, solve = pipelines.district_object, pipelines.solve_fsfgw
+        monkeypatch.setattr(
+            pipelines, "district_object", lambda g, idx: built.append(idx) or build(g, idx)
+        )
+        monkeypatch.setattr(
+            pipelines, "solve_fsfgw", lambda x, y, c: solved.append(1) or solve(x, y, c)
+        )
+        cache = PlanCache(graph, QUICK)
+        # District 1 is the same in both plans, so every comparison matches
+        # it with itself; (q, p) meets districts 2 and 3 swapped.
+        runs = [(plan_p, plan_q), (plan_q, plan_p), (plan_p, plan_p)]
+        pq, qp, _ = [compare_plans(graph, a, b, QUICK, cache) for a, b in runs]
+
+        def key(plan, label):
+            return tuple(np.flatnonzero(plan.assignment == label).tolist())
+
+        districts = {key(plan, label) for plan in (plan_p, plan_q) for label in (1, 2, 3)}
+        pairs = {
+            frozenset((key(a, lp), key(b, lq)))
+            for a, b in runs
+            for lp, lq in match_districts(a, b)
+        }
+        assert (len(districts), len(pairs)) == (5, 5)
+        assert sorted(built) == sorted(districts)
+        assert len(solved) == len(pairs)
+        assert cache.counts.tolist() == [5, 18, 5, 9]
+
+        x, y = district_object(graph, key(plan_q, 2)), district_object(graph, key(plan_p, 2))
+        direct = solve(x, y, QUICK)
+        hit, stored = qp.per_district[1], pq.per_district[1]
+        assert hit.plan.T.shape == (9, 10)
+        assert np.array_equal(hit.plan.T, stored.plan.T.T)
+        assert np.array_equal(hit.plan.T, direct.plan.T)
+        assert np.array_equal(hit.plan.row_marginal, direct.plan.row_marginal)
+        assert np.array_equal(hit.plan.col_marginal, direct.plan.col_marginal)
+        for name in ("objective", "feature_term", "gw_term", "reg_term", "lambda_used",
+                     "trace", "outer_iters", "converged"):
+            assert getattr(hit, name) == getattr(direct, name), name
+        assert np.array_equal(hit.weights.w, direct.weights.w)
+        assert np.array_equal(hit.scores, direct.scores)
+
+    def test_cache_of_another_config_is_rejected(self):
+        graph, plan_p, plan_q, _ = band_fixture()
+        cache = PlanCache(graph, FsFgwConfig(mode="lasso", lam=0.1))
+        with pytest.raises(InvalidConfig, match="another graph or config"):
+            compare_plans(graph, plan_p, plan_q, QUICK, cache)
 
     def test_plan_must_cover_the_graph(self):
         graph, plan_p, _, _ = band_fixture()
