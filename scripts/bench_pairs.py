@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
-    python3 scripts/bench_pairs.py PARENT_DIR [CHANGE_DIR]
+    python3 scripts/bench_pairs.py PARENT_DIR [CHANGE_DIR] [--first-seed N]
 
 CHANGE_DIR defaults to this checkout, whose BENCHMARK.json names the
 workloads, the end-to-end metrics and the run length.  For each workload,
-pair k (k = 0..9) runs ``perfbench/run.py --trace 0`` with seed k on both
-checkouts, the parent first when k is even and the change first when k is
-odd.  A run whose result is not ``correct`` stops the script with a non-zero
-exit.  For every workload and metric it prints the parent's median and
+pair k (k = 0..9) runs ``perfbench/run.py --trace 0`` with seed N + k on
+both checkouts, the parent first when k is even and the change first when
+k is odd.  N is 0 unless ``--first-seed`` sets it, so a claim can be
+confirmed on seeds that were not used while writing the change.  A run
+whose result is not ``correct`` stops the script with a non-zero exit.
+For every workload and metric it prints the parent's median and
 quartiles, the change's median and the number of pairs the change wins
 (ties count for neither side).
 """
@@ -20,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("parent", type=Path)
 parser.add_argument("change", type=Path, nargs="?", default=ROOT)
+parser.add_argument("--first-seed", type=int, default=0)
 args = parser.parse_args()
 bench = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -38,9 +41,9 @@ def run(side: str, workload: str, seed: int) -> dict:
 
 for workload in (w["name"] for w in bench["workloads"]):
     runs = {"parent": [], "change": []}
-    for seed in range(PAIRS):
-        for side in ("parent", "change") if seed % 2 == 0 else ("change", "parent"):
-            runs[side].append(run(side, workload, seed))
+    for k in range(PAIRS):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            runs[side].append(run(side, workload, args.first_seed + k))
     for metric in bench["end_to_end"]:
         name = metric["name"]
         parent = [r[name]["value"] for r in runs["parent"]]

@@ -13,20 +13,23 @@ input:
   graph, entering arcs are picked by most negative reduced cost with
   lowest-flat-index tie-breaking, and after a fixed number of pivots the
   entering rule switches to Bland's lowest-index rule so termination is
-  guaranteed.  It starts from the northwest corner, or from a basis that
-  an earlier call returned for the same marginals: a feasible basis stays
-  feasible when only the cost changes, so a warm start skips the pivots
-  that the cost change left in place (Ahuja, Magnanti & Orlin 1993,
-  *Network Flows*, ch. 11).  After each pivot only the subtree that the
-  leaving arc cuts off is re-hung and gets new potentials.
+  guaranteed.  A cold start is the least-cost basis: cells are filled
+  cheapest first, cost ties broken on the lowest flat index.  A warm
+  start is a basis that an earlier call returned for the same marginals:
+  a feasible basis stays feasible when only the cost changes, so a warm
+  start skips the pivots that the cost change left in place (Ahuja,
+  Magnanti & Orlin 1993, *Network Flows*, ch. 11).  After each pivot only
+  the subtree that the leaving arc cuts off is re-hung and gets new
+  potentials.
 
-Determinism: the plan is a function of (cost, a, b, basis).  When costs
-are degenerate, which optimal vertex that is depends on the route and on
-the starting basis, but every one has the same value.  The simplex breaks
-ties on the lowest flat cell index, so a warm start may stop at a
-different optimal vertex than a cold start; the assignment route ignores
-any basis and returns whichever permutation ``linear_sum_assignment``
-picks, which is fixed for a given cost but follows no index rule.
+Determinism: the plan is a function of (cost, a, b, basis), and a cold
+start is a function of (cost, a, b).  When costs are degenerate, which
+optimal vertex that is depends on the route and on the starting basis,
+but every one has the same value.  The simplex breaks ties on the lowest
+flat cell index, so a warm start may stop at a different optimal vertex
+than a cold start; the assignment route ignores any basis and returns
+whichever permutation ``linear_sum_assignment`` picks, which is fixed for
+a given cost but follows no index rule.
 
 ``solve_emd`` checks its input on every call: a finite cost, nonnegative
 marginals of equal mass, and a basis that carries them on a spanning
@@ -114,32 +117,36 @@ def line_search_quadratic(quad_coef: float, lin_coef: float) -> float:
     return 1.0 if quad_coef + lin_coef < 0.0 else 0.0
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution with exactly n + m - 1 arcs."""
+def _least_cost_start(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Initial basic feasible solution with exactly n + m - 1 arcs: cells
+    in cost order, ties on the lowest flat index, each take what their row
+    and column have left and cross out one of them (the row if it is empty,
+    or its column is the last one open, and it is not the last open row).
+    A crossed-out line gets no later arc, so the arcs form a tree."""
 
     n, m = a.shape[0], b.shape[0]
-    arc_row = np.empty(n + m - 1, dtype=np.int64)
-    arc_col = np.empty(n + m - 1, dtype=np.int64)
-    arc_flow = np.empty(n + m - 1, dtype=float)
-    ar = a.copy()
-    br = b.copy()
-    i = j = k = 0
-    while True:
+    ar, br = a.tolist(), b.tolist()
+    row_open, col_open = [True] * n, [True] * m
+    rows_left, cols_left = n, m
+    arcs = []
+    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, m)
+        if not (row_open[i] and col_open[j]):
+            continue
         f = min(ar[i], br[j])
-        arc_row[k], arc_col[k], arc_flow[k] = i, j, f
+        arcs.append((i, j, f))
+        if rows_left == cols_left == 1:
+            break
         ar[i] -= f
         br[j] -= f
-        k += 1
-        if i == n - 1 and j == m - 1:
-            break
-        # Advance past an exhausted row when possible; otherwise move right.
-        if ar[i] <= 0.0 and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
+        if rows_left > 1 and (ar[i] <= 0.0 or cols_left == 1):
+            row_open[i] = False
+            rows_left -= 1
         else:
-            i += 1
-    return arc_row[:k], arc_col[:k], arc_flow[:k]
+            col_open[j] = False
+            cols_left -= 1
+    arc_row, arc_col, arc_flow = zip(*arcs)
+    return np.array(arc_row), np.array(arc_col), np.array(arc_flow)
 
 
 def _check_basis(basis: Basis, a: np.ndarray, b: np.ndarray):
@@ -188,14 +195,15 @@ def solve_emd(
     ``iterations`` is 0.  On degenerate costs that pick need not be the
     lowest-flat-index vertex.  All other inputs go through the network
     simplex, where ties in both the entering and the leaving choice break
-    on the lowest flat cell index and ``iterations`` counts pivots.
+    on the lowest flat cell index and ``iterations`` counts pivots.  A
+    cold simplex starts from the least-cost basis, filling cells cheapest
+    first with cost ties broken on the lowest flat index.
 
     ``basis`` is a spanning tree that an earlier call returned for the
-    same marginals; the simplex starts from it instead of the northwest
-    corner.  One that does not fit the marginals raises ``InvalidBasis``.
-    On degenerate costs a warm start may end at a different optimal vertex
-    than a cold start, with the same value.  The assignment route ignores
-    the basis.
+    same marginals; the simplex starts from it instead.  One that does not
+    fit the marginals raises ``InvalidBasis``.  On degenerate costs a warm
+    start may end at a different optimal vertex than a cold start, with
+    the same value.  The assignment route ignores the basis.
     """
 
     cost = np.ascontiguousarray(cost, dtype=float)
@@ -232,7 +240,7 @@ def solve_emd(
         return LpSolution(T=T, value=float(np.dot(cost[rows, perm], a)), iterations=0)
 
     if basis is None:
-        arc_row, arc_col, arc_flow = _northwest_corner(a, b)
+        arc_row, arc_col, arc_flow = _least_cost_start(cost, a, b)
     else:
         arc_row, arc_col, arc_flow = _check_basis(basis, a, b)
     n_nodes = n + m

@@ -108,6 +108,19 @@ def test_bench_pairs_summarizes_ten_pairs(tmp_path):
     assert ok.endswith("change wins 0/10")
 
 
+def test_bench_pairs_starts_at_the_first_seed(tmp_path):
+    # Seeds 10..19 only: the change's bad seed 3 is never run.
+    parent = stub_checkout(tmp_path / "parent", 1.0)
+    change = stub_checkout(tmp_path / "change", 0.5, bad_seed=3)
+    proc = run_script("bench_pairs.py", str(parent), str(change), "--first-seed", "10")
+    assert proc.returncode == 0, proc.stderr
+    wall = next(line for line in proc.stdout.splitlines()
+                if line.startswith("synth-uniform wall_s:"))
+    # Parent values 1.10..1.19: median 1.145, quartiles 1.1175 and 1.1725.
+    assert "parent median 1.145 (quartiles 1.1175, 1.1725)" in wall
+    assert "change median 0.645, change wins 10/10" in wall
+
+
 def test_bench_pairs_refuses_an_incorrect_run(tmp_path):
     parent = stub_checkout(tmp_path / "parent", 1.0)
     change = stub_checkout(tmp_path / "change", 0.5, bad_seed=3)

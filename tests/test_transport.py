@@ -115,9 +115,10 @@ class TestSolveEmd:
 
     def test_pivot_budget_enforced(self):
         # Non-uniform marginals keep this on the network simplex.  The
-        # northwest-corner start puts 0.4 on the costly cell (0, 0), so at
-        # least one pivot is needed and a zero budget must trip the guard.
-        cost = np.array([[1.0, 0.0], [0.0, 1.0]])
+        # least-cost start fills (0, 0), then (1, 0), then must put 0.4 on
+        # the cell of cost 10, so one pivot is needed and a zero budget
+        # must trip the guard.
+        cost = np.array([[1.0, 2.0], [1.0, 10.0]])
         with pytest.raises(NumericalFailure):
             solve_emd(cost, [0.4, 0.6], [0.6, 0.4], max_pivots=0)
 
@@ -168,6 +169,51 @@ def masses_with_zeros(rng, k):
     if w.sum() == 0.0:
         w[0] = 1.0
     return w / w.sum()
+
+
+class TestColdStart:
+    """The least-cost start is a spanning tree, whatever the ties and zeros."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 10), m=st.integers(1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_tied_costs_and_zero_masses(self, seed, n, m):
+        # Costs in {0, ..., 3} tie often, and about a quarter of the masses
+        # are zero; an invalid start would raise InvalidBasis when hung.
+        rng = np.random.default_rng(seed)
+        a = masses_with_zeros(rng, n)
+        b = masses_with_zeros(rng, m)
+        cost = rng.integers(0, 4, (n, m)).astype(float)
+        sol = solve_emd(cost, a, b)
+        ref_value, _ = oracles.emd_lp(cost, a, b)
+        assert sol.value == pytest.approx(ref_value, abs=1e-12)
+        assert np.count_nonzero(sol.T) <= n + m - 1
+        oracles.assert_coupling(sol.T, a, b)
+        again = solve_emd(cost, a, b)
+        assert np.array_equal(sol.T, again.T) and sol.value == again.value
+        assert sol.iterations == again.iterations
+        if sol.basis is not None:
+            assert all(np.array_equal(p, q) for p, q in zip(sol.basis, again.basis))
+
+    def test_cost_ties_break_on_the_lowest_flat_index(self):
+        # On a constant cost every cell ties, so the start visits cells in
+        # row-major order, which is the northwest corner, and is optimal.
+        # The zero-flow arc (3, 2) keeps the start a spanning tree.
+        a = np.array([1, 2, 2, 3]) / 8
+        b = np.array([2, 2, 1, 1, 2]) / 8
+        sol = solve_emd(np.zeros((4, 5)), a, b)
+        assert sol.iterations == 0
+        arc_row, arc_col, arc_flow = sol.basis
+        assert arc_row.tolist() == [0, 1, 1, 2, 2, 3, 3, 3]
+        assert arc_col.tolist() == [0, 0, 1, 1, 2, 2, 3, 4]
+        assert arc_flow.tolist() == [1 / 8, 1 / 8, 1 / 8, 1 / 8, 1 / 8, 0.0, 1 / 8, 1 / 4]
+
+    def test_diagonal_instance_needs_no_pivot(self):
+        # A northwest-corner start would put 0.4 on the costly cell (0, 0)
+        # and need a pivot; filling the zero-cost cells first is optimal.
+        cost = np.array([[1.0, 0.0], [0.0, 1.0]])
+        sol = solve_emd(cost, [0.4, 0.6], [0.6, 0.4])
+        assert sol.iterations == 0
+        assert sol.value == 0.0
 
 
 class TestWarmBasis:
