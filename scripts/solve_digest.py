@@ -1,0 +1,51 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the outputs of a fixed set of solves.
+
+    PYTHONPATH=src python3 scripts/solve_digest.py [--count N]
+
+Solve k (k = 0..N-1, N = 720 unless ``--count`` sets it) draws a pair of
+point clouds from seed k and solves it with configuration k mod 108: every
+combination of mode, q in {1, 1.5, 2}, restarts 0-2, uniform or Dirichlet
+measures and, for lasso and ridge, a fixed or a calibrated level.  The
+digest covers each result's plan, weights, scores, terms, level, trace,
+outer iteration count and convergence flag, so two trees that print the
+same digest gave the same bits on every solve.  The q = 2 products go
+through BLAS, so compare digests taken on one machine.
+"""
+import argparse, hashlib
+import numpy as np
+from fsfgw import FsFgwConfig, StructuredObject, solve_fsfgw
+
+LEVELS = {
+    "lasso": ({"lam": 0.1}, {"suppression_fraction": 0.3}),
+    "ridge": ({"lam": 0.3}, {"suppression_fraction": 0.5}),
+    "simplex": ({},),
+    "group_simplex": ({"groups": ((0, 2), (1, 3, 4), (5,))},),
+}
+CONFIGS = [(FsFgwConfig(mode=mode, q=q, restarts=restarts, **level), uniform)
+           for mode, levels in LEVELS.items() for level in levels
+           for q in (1.0, 1.5, 2.0) for restarts in (0, 1, 2) for uniform in (True, False)]
+
+
+def cloud(rng, n, uniform, d=6):
+    pts = rng.uniform(size=(n, 2))
+    C = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+    a = np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n))
+    return StructuredObject(C=C / C.max(), a=a, X=rng.normal(size=(n, d)))
+
+
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("--count", type=int, default=720)
+args = parser.parse_args()
+h = hashlib.sha256()
+for k in range(args.count):
+    config, uniform = CONFIGS[k % len(CONFIGS)]
+    rng = np.random.default_rng(k)
+    x = cloud(rng, int(rng.integers(4, 12)), uniform)
+    y = cloud(rng, int(rng.integers(4, 12)), uniform)
+    r = solve_fsfgw(x, y, config)
+    scalars = (r.objective, r.feature_term, r.gw_term, r.reg_term, r.lambda_used,
+               r.outer_iters, r.converged)
+    for arr in (r.plan.T, r.weights.w, r.scores, np.array(r.trace), np.array(scalars)):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+print(h.hexdigest())

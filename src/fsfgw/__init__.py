@@ -70,18 +70,7 @@ from .pipelines import (
     separation_metric,
     structured_object_to_dict,
 )
-from .suppression import (
-    InvalidFraction,
-    MissingLambda,
-    WeightUpdateInput,
-    calibrate_lambda,
-    solve_fsfgw,
-    update_weights,
-    update_weights_group_simplex,
-    update_weights_lasso,
-    update_weights_ridge,
-    update_weights_simplex,
-)
+from .suppression import InvalidFraction, calibrate_lambda, solve_fsfgw
 from .transport import (
     Infeasible,
     InvalidBasis,

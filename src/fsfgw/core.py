@@ -10,9 +10,11 @@ instances are safe to share across threads and worker processes.
 
 Each invariant is checked once, by the entry point that takes it:
 ``StructuredObject`` one object, ``FsFgwConfig`` a configuration,
-``validate_pair`` a shared feature count, ``TransportPlan`` the plan a
-solve returns; ``solve_emd``, ``FgwProblem`` and ``solve_fgw`` check the
-solver inputs.  ``LpSolution.T`` and ``FgwSolve.T`` are unchecked output.
+``validate_pair`` a shared feature count, ``check_partition`` the groups
+against it, ``TransportPlan`` and ``SuppressionWeights`` the plan and
+weights a solve returns; ``solve_emd``, ``FgwProblem`` and ``solve_fgw``
+check the solver inputs.  ``LpSolution.T``, ``FgwSolve.T`` and the weight
+updates' arrays are unchecked output.
 """
 
 from __future__ import annotations
@@ -319,14 +321,14 @@ class FsFgwConfig:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise InvalidConfig(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.q < 1.0:
-            raise InvalidConfig(f"q must be >= 1, got {self.q}")
+        if not (1.0 <= self.q < np.inf):
+            raise InvalidConfig(f"q must be finite and >= 1, got {self.q}")
         if self.feature_norm not in FEATURE_NORMS:
             raise InvalidConfig(
                 f"feature_norm must be one of {FEATURE_NORMS}, got {self.feature_norm!r}"
             )
-        if self.lam is not None and not self.lam > 0.0:
-            raise InvalidConfig(f"lambda must be positive when given, got {self.lam}")
+        if self.lam is not None and not (0.0 < self.lam < np.inf):
+            raise InvalidConfig(f"lambda must be positive and finite, got {self.lam}")
         f = self.suppression_fraction
         if f is not None and not (0.0 < f < 1.0):
             raise InvalidConfig(f"suppression fraction must lie in (0, 1), got {f}")
@@ -345,10 +347,14 @@ class FsFgwConfig:
             object.__setattr__(self, "groups", check_partition(self.groups))
         elif self.groups is not None:
             raise InvalidConfig(f"groups are only meaningful for group_simplex mode")
-        if self.max_outer_iter < 1:
-            raise InvalidConfig("max_outer_iter must be >= 1")
-        if self.restarts < 0:
-            raise InvalidConfig("restarts must be >= 0")
+        for name, least in (("max_outer_iter", 1), ("restarts", 0)):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidConfig(f"{name} must be an integer") from None
+            if value < least:
+                raise InvalidConfig(f"{name} must be >= {least}")
+            object.__setattr__(self, name, value)
 
 
 class TraceEntry(NamedTuple):

@@ -1,12 +1,18 @@
 """Feature suppression: closed-form weight updates and the alternating solver.
 
-For a fixed transport plan with per-feature scores s_r, every supported
-regularizer admits an exact weight update:
+For a fixed transport plan with nonnegative per-feature scores s_r, every
+supported regularizer admits an exact weight update (``update_weights``):
 
 * lasso  (R = ||w||_1):        w_r = 1 if (1 - alpha) s_r > lambda else 0
 * ridge  (R = ||w||^2 / 2):    w_r = min(1, (1 - alpha) s_r / lambda)
 * simplex (w on the simplex):  one-hot on the largest score
-* group simplex:               one group, largest group-mean score
+* group simplex:               1 on the group with the largest mean score,
+                               0 elsewhere
+
+A lasso score exactly at the threshold is retained (w_r = 0), and ties
+between scores or group means go to the lowest index.  At lambda = 0, which
+a calibrated level can reach, lasso and ridge suppress every strictly
+positive score and retain zero scores.
 
 ``solve_fsfgw`` alternates these updates with warm-started conditional
 gradient transport solves: each outer iteration starts from the previous
@@ -22,14 +28,12 @@ group size (group-mean form), in both the update and the reported objective.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     FsFgwConfig,
     FsfgwError,
-    InvalidConfig,
     InvalidPartition,
     ShapeMismatch,
     SolveResult,
@@ -45,15 +49,8 @@ from .fgw import FgwProblem, gw_value, solve_fgw
 from .transport import random_coupling
 
 __all__ = [
-    "MissingLambda",
     "InvalidPartition",
     "InvalidFraction",
-    "WeightUpdateInput",
-    "update_weights_lasso",
-    "update_weights_ridge",
-    "update_weights_simplex",
-    "update_weights_group_simplex",
-    "update_weights",
     "calibrate_lambda",
     "solve_fsfgw",
 ]
@@ -65,109 +62,38 @@ logger = logging.getLogger("fsfgw")
 _OUTER_TOL = 1e-7
 
 
-class MissingLambda(FsfgwError):
-    """A lasso or ridge update was requested without a regularization level."""
-
-
 class InvalidFraction(FsfgwError):
     """The suppression fraction is outside (0, 1)."""
 
 
-@dataclass(frozen=True)
-class WeightUpdateInput:
-    """Inputs shared by all weight updates: scores at the current plan,
-    the trade-off alpha, and (mode-dependent) lambda or groups."""
+def update_weights(
+    mode: str,
+    scores: np.ndarray,
+    alpha: float,
+    lam: float,
+    groups: tuple[tuple[int, ...], ...] | None,
+) -> np.ndarray:
+    """The weights that minimize the subproblem at fixed ``scores``, by the
+    rules and tie-breaks in the module docstring.
 
-    scores: np.ndarray
-    alpha: float
-    lam: float | None = None
-    groups: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=float)
-        if scores.ndim != 1 or scores.shape[0] < 1:
-            raise ShapeMismatch(f"scores must be a nonempty vector, got {scores.shape}")
-        if not np.all(np.isfinite(scores)):
-            raise ShapeMismatch("scores contain non-finite entries")
-        if scores.min(initial=0.0) < -1e-12:
-            raise ShapeMismatch("scores must be nonnegative")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise InvalidConfig(f"alpha must lie in [0, 1], got {self.alpha}")
-        object.__setattr__(self, "scores", np.maximum(scores, 0.0))
-
-    @property
-    def d(self) -> int:
-        return self.scores.shape[0]
-
-
-def _require_lambda(inp: WeightUpdateInput) -> float:
-    if inp.lam is None:
-        raise MissingLambda("this mode needs a regularization level lambda")
-    if inp.lam < 0.0:
-        raise InvalidConfig(f"lambda must be nonnegative, got {inp.lam}")
-    return float(inp.lam)
-
-
-def update_weights_lasso(inp: WeightUpdateInput) -> SuppressionWeights:
-    """Exact minimizer of the l1-regularized subproblem at fixed scores.
-
-    Coordinates with (1 - alpha) s_r strictly above lambda are suppressed;
-    the boundary case resolves to retention (w_r = 0).  lambda = 0 is the
-    degenerate limit where every strictly positive scaled score is
-    suppressed; zero scores are always retained.
+    The inputs are trusted: ``FsFgwConfig`` checked ``mode``, ``alpha`` and
+    ``lam``, ``solve_fsfgw`` checked ``groups`` against the feature count,
+    and the scores of a nonnegative stack and plan are nonnegative.
     """
 
-    lam = _require_lambda(inp)
-    w = ((1.0 - inp.alpha) * inp.scores > lam).astype(float)
-    return SuppressionWeights(w=w, mode="lasso")
-
-
-def update_weights_ridge(inp: WeightUpdateInput) -> SuppressionWeights:
-    """Exact minimizer of the quadratic-regularized subproblem: the scaled
-    scores clipped to [0, 1].  lambda = 0 takes the limiting binary form."""
-
-    lam = _require_lambda(inp)
-    if lam > 0.0:
-        w = np.clip((1.0 - inp.alpha) * inp.scores / lam, 0.0, 1.0)
+    if mode == "lasso":
+        return ((1.0 - alpha) * scores > lam).astype(float)
+    if mode == "ridge":
+        if lam > 0.0:
+            return np.clip((1.0 - alpha) * scores / lam, 0.0, 1.0)
+        return ((1.0 - alpha) * scores > 0.0).astype(float)
+    w = np.zeros(scores.shape[0])
+    if mode == "simplex":
+        w[int(np.argmax(scores))] = 1.0
     else:
-        w = ((1.0 - inp.alpha) * inp.scores > 0.0).astype(float)
-    return SuppressionWeights(w=w, mode="ridge")
-
-
-def update_weights_simplex(inp: WeightUpdateInput) -> SuppressionWeights:
-    """One-hot on the largest score; ties resolve to the lowest index."""
-
-    w = np.zeros(inp.d)
-    w[int(np.argmax(inp.scores))] = 1.0
-    return SuppressionWeights(w=w, mode="simplex")
-
-
-def update_weights_group_simplex(inp: WeightUpdateInput) -> SuppressionWeights:
-    """All-ones on the group with the largest mean score, zero elsewhere.
-
-    Ties between group means resolve to the lowest group index.
-    """
-
-    groups = check_partition(inp.groups, inp.d)
-    means = np.array([inp.scores[list(g)].mean() for g in groups])
-    hot = int(np.argmax(means))
-    w = np.zeros(inp.d)
-    w[list(groups[hot])] = 1.0
-    return SuppressionWeights(w=w, mode="group_simplex", groups=groups)
-
-
-_UPDATES = {
-    "lasso": update_weights_lasso,
-    "ridge": update_weights_ridge,
-    "simplex": update_weights_simplex,
-    "group_simplex": update_weights_group_simplex,
-}
-
-
-def update_weights(mode: str, inp: WeightUpdateInput) -> SuppressionWeights:
-    if mode not in _UPDATES:
-        raise InvalidConfig(f"unknown mode {mode!r}")
-    return _UPDATES[mode](inp)
+        means = [scores[list(g)].mean() for g in groups]
+        w[list(groups[int(np.argmax(means))])] = 1.0
+    return w
 
 
 def calibrate_lambda(scores: np.ndarray, alpha: float, fraction: float) -> float:
@@ -222,8 +148,7 @@ def _solve_once(
     converged = False
     for k in range(config.max_outer_iter + 1):
         if k > 0:
-            inp = WeightUpdateInput(scores=scores, alpha=alpha, lam=lam, groups=groups)
-            w_new = update_weights(mode, inp).w
+            w_new = update_weights(mode, scores, alpha, lam, groups)
         M_eff = np.einsum("r,rij->ij", (1.0 - w_new) * inv_size, stack)
         solved = solve_fgw(problem, M_eff, T, basis)
         T, basis = solved.T, solved.basis

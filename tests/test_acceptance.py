@@ -13,6 +13,7 @@ import oracles
 from fsfgw.core import (
     FsFgwConfig,
     StructuredObject,
+    SuppressionWeights,
     feature_cost_stack,
     feature_scores,
 )
@@ -27,11 +28,7 @@ from fsfgw.pipelines import (
     roc_sweep,
     separation_metric,
 )
-from fsfgw.suppression import (
-    WeightUpdateInput,
-    solve_fsfgw,
-    update_weights,
-)
+from fsfgw.suppression import solve_fsfgw, update_weights
 from fsfgw.transport import solve_emd
 from oracles import fgw_objective, reduced_objective_g
 
@@ -80,9 +77,8 @@ def test_01_weight_updates_beat_grid_search(capsys):
             alpha = float(rng.uniform(0.0, 0.95))
             lam = float(rng.uniform(0.05, 2.0)) if mode in ("lasso", "ridge") else None
             groups = _random_partition(rng, d) if mode == "group_simplex" else None
-            w = update_weights(
-                mode, WeightUpdateInput(scores=scores, alpha=alpha, lam=lam, groups=groups)
-            ).w
+            w = update_weights(mode, scores, alpha, lam, groups)
+            SuppressionWeights(w=w, mode=mode, groups=groups)  # the mode's invariants
             value = oracles.subproblem_value(w, scores, alpha, lam, mode, groups)
             ref = oracles.grid_min_subproblem(scores, alpha, lam, mode, groups)
             if value > ref + 1e-6:
@@ -103,9 +99,8 @@ def test_02_reduced_objective_identity(capsys):
         alpha = float(rng.uniform(0.0, 0.95))
         lam = float(rng.uniform(0.05, 2.0))
         for mode in ("lasso", "ridge"):
-            w = update_weights(
-                mode, WeightUpdateInput(scores=scores, alpha=alpha, lam=lam)
-            ).w
+            w = update_weights(mode, scores, alpha, lam, None)
+            SuppressionWeights(w=w, mode=mode)  # the mode's invariants
             value = oracles.subproblem_value(w, scores, alpha, lam, mode)
             g = reduced_objective_g(scores, alpha, lam, mode)
             if abs(value - g) > 1e-10:

@@ -207,6 +207,14 @@ class TestSolveValidationErrors:
         assert doc["error"] == "InvalidObjectFile"
         assert str(y) in doc["message"]
 
+    def test_infinite_lambda(self, tmp_path, capsys):
+        x, y = self.write_pair(tmp_path)
+        code = main(["solve", str(x), str(y), "--mode", "lasso", "--lambda", "inf",
+                     "--out", str(tmp_path / "o")])
+        doc = self.assert_error_json(capsys, code, 2)
+        assert doc["error"] == "InvalidConfig"
+        assert not (tmp_path / "o" / "result.json").exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         x, _ = self.write_pair(tmp_path)
         code = main(["solve", str(x), str(tmp_path / "absent.json"),

@@ -203,6 +203,26 @@ class TestFsFgwConfig:
             FsFgwConfig(mode="lasso", suppression_fraction=1.0)
         with pytest.raises(InvalidConfig):
             FsFgwConfig(mode="lasso", lam=1.0, restarts=-1)
+        with pytest.raises(InvalidConfig):
+            FsFgwConfig(mode="elastic", lam=1.0)
+        with pytest.raises(InvalidConfig):
+            FsFgwConfig(mode="simplex", alpha=-0.1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lam", np.inf), ("lam", np.nan), ("q", np.inf), ("q", np.nan),
+         ("alpha", np.nan), ("max_outer_iter", 2.5), ("max_outer_iter", 2.0),
+         ("restarts", 1.5), ("restarts", "1")],
+    )
+    def test_non_finite_and_non_integral_values(self, field, value):
+        with pytest.raises(InvalidConfig):
+            FsFgwConfig(**{"mode": "lasso", "lam": 1.0, field: value})
+
+    def test_integer_counts_become_ints(self):
+        config = FsFgwConfig(mode="lasso", lam=1.0, max_outer_iter=np.int64(3),
+                             restarts=np.uint8(2))
+        assert (config.max_outer_iter, config.restarts) == (3, 2)
+        assert type(config.max_outer_iter) is int and type(config.restarts) is int
 
 
 class TestValidatePair:

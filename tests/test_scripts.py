@@ -1,6 +1,6 @@
 """The example scripts run end to end and write their CSV outputs; the BENCH
 and pair scripts refuse failing benchmark runs, and a BENCH file names the
-tree it measured."""
+tree it measured; the solve digest repeats."""
 
 import hashlib
 import json
@@ -163,3 +163,12 @@ def test_bench_json_records_the_measured_tree(tmp_path):
         assert doc["diff_sha256"] == hashlib.sha256(diff).hexdigest()
     finally:
         written.unlink(missing_ok=True)
+
+
+def test_solve_digest_is_repeatable():
+    digests = []
+    for _ in range(2):
+        proc = run_script("solve_digest.py", "--count", "12")
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

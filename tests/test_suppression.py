@@ -14,8 +14,8 @@ import oracles
 from fsfgw.core import (
     FsFgwConfig,
     InvalidConfig,
-    ShapeMismatch,
     StructuredObject,
+    SuppressionWeights,
     feature_cost_stack,
     feature_scores,
 )
@@ -23,15 +23,9 @@ from fsfgw.fgw import FgwProblem, solve_fgw
 from fsfgw.suppression import (
     InvalidFraction,
     InvalidPartition,
-    MissingLambda,
-    WeightUpdateInput,
     calibrate_lambda,
     solve_fsfgw,
     update_weights,
-    update_weights_group_simplex,
-    update_weights_lasso,
-    update_weights_ridge,
-    update_weights_simplex,
 )
 from oracles import reduced_objective_g
 
@@ -61,28 +55,28 @@ def dirichlet_cloud(rng, n, d=6):
     return StructuredObject(C=C / C.max(), a=rng.dirichlet(np.ones(n)), X=rng.normal(size=(n, d)))
 
 
+def update(mode, scores, alpha, lam=0.0, groups=None):
+    """The closed-form update, with the mode's invariants checked on the
+    returned weights."""
+
+    w = update_weights(mode, np.asarray(scores, dtype=float), alpha, lam, groups)
+    return SuppressionWeights(w=w, mode=mode, groups=groups)
+
+
 class TestLassoUpdate:
     def test_threshold_rule(self):
-        out = update_weights_lasso(
-            WeightUpdateInput(scores=[4.0, 0.5], alpha=0.5, lam=1.0)
-        )
+        out = update("lasso", [4.0, 0.5], 0.5, 1.0)
         assert np.array_equal(out.w, [1.0, 0.0])
         assert out.mode == "lasso"
 
     def test_boundary_tie_resolves_down(self):
         # (1 - alpha) * 2.0 equals lambda exactly; both choices are optimal
         # and the update keeps the feature.
-        out = update_weights_lasso(WeightUpdateInput(scores=[2.0], alpha=0.5, lam=1.0))
+        out = update("lasso", [2.0], 0.5, 1.0)
         assert np.array_equal(out.w, [0.0])
 
-    def test_missing_lambda(self):
-        with pytest.raises(MissingLambda):
-            update_weights_lasso(WeightUpdateInput(scores=[1.0], alpha=0.5))
-
     def test_zero_lambda_suppresses_positive_scores(self):
-        out = update_weights_lasso(
-            WeightUpdateInput(scores=[0.3, 0.0, 2.0], alpha=0.5, lam=0.0)
-        )
+        out = update("lasso", [0.3, 0.0, 2.0], 0.5, 0.0)
         assert np.array_equal(out.w, [1.0, 0.0, 1.0])
 
     @given(seed=st.integers(0, 10_000))
@@ -93,26 +87,20 @@ class TestLassoUpdate:
         scores = rng.uniform(0.0, 3.0, d)
         alpha = float(rng.uniform(0.0, 1.0))
         lam = float(rng.uniform(0.05, 2.0))
-        w = update_weights_lasso(
-            WeightUpdateInput(scores=scores, alpha=alpha, lam=lam)
-        ).w
+        w = update("lasso", scores, alpha, lam).w
         value = oracles.subproblem_value(w, scores, alpha, lam, "lasso")
         assert value <= oracles.grid_min_subproblem(scores, alpha, lam, "lasso") + 1e-9
 
 
 class TestRidgeUpdate:
     def test_interior_value(self):
-        out = update_weights_ridge(WeightUpdateInput(scores=[2.0], alpha=0.5, lam=2.0))
+        out = update("ridge", [2.0], 0.5, 2.0)
         assert np.array_equal(out.w, [0.5])
         assert out.mode == "ridge"
 
     def test_saturation(self):
-        out = update_weights_ridge(WeightUpdateInput(scores=[4.0], alpha=0.5, lam=1.0))
+        out = update("ridge", [4.0], 0.5, 1.0)
         assert np.array_equal(out.w, [1.0])
-
-    def test_missing_lambda(self):
-        with pytest.raises(MissingLambda):
-            update_weights_ridge(WeightUpdateInput(scores=[1.0], alpha=0.5))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -122,22 +110,18 @@ class TestRidgeUpdate:
         scores = rng.uniform(0.0, 3.0, d)
         alpha = float(rng.uniform(0.0, 1.0))
         lam = float(rng.uniform(0.05, 2.0))
-        w = update_weights_ridge(
-            WeightUpdateInput(scores=scores, alpha=alpha, lam=lam)
-        ).w
+        w = update("ridge", scores, alpha, lam).w
         value = oracles.subproblem_value(w, scores, alpha, lam, "ridge")
         assert value <= oracles.grid_min_subproblem(scores, alpha, lam, "ridge") + 1e-9
 
 
 class TestSimplexUpdate:
     def test_one_hot_on_largest_score(self):
-        out = update_weights_simplex(
-            WeightUpdateInput(scores=[0.1, 0.9, 0.3], alpha=0.5)
-        )
+        out = update("simplex", [0.1, 0.9, 0.3], 0.5)
         assert np.array_equal(out.w, [0.0, 1.0, 0.0])
 
     def test_ties_resolve_to_lowest_index(self):
-        out = update_weights_simplex(WeightUpdateInput(scores=[1.0, 1.0, 1.0], alpha=0.5))
+        out = update("simplex", [1.0, 1.0, 1.0], 0.5)
         assert np.array_equal(out.w, [1.0, 0.0, 0.0])
 
     @given(seed=st.integers(0, 10_000))
@@ -147,16 +131,14 @@ class TestSimplexUpdate:
         d = int(rng.integers(1, 8))
         scores = rng.uniform(0.0, 3.0, d)
         alpha = float(rng.uniform(0.0, 1.0))
-        w = update_weights_simplex(WeightUpdateInput(scores=scores, alpha=alpha)).w
+        w = update("simplex", scores, alpha).w
         value = oracles.subproblem_value(w, scores, alpha, None, "simplex")
         assert value <= oracles.grid_min_subproblem(scores, alpha, None, "simplex") + 1e-12
 
 
 class TestGroupSimplexUpdate:
     def test_largest_group_mean_wins(self):
-        out = update_weights_group_simplex(
-            WeightUpdateInput(scores=[1.0, 1.0, 3.0], alpha=0.5, groups=((0, 1), (2,)))
-        )
+        out = update("group_simplex", [1.0, 1.0, 3.0], 0.5, groups=((0, 1), (2,)))
         assert np.array_equal(out.w, [0.0, 0.0, 1.0])
         assert out.groups == ((0, 1), (2,))
 
@@ -165,23 +147,21 @@ class TestGroupSimplexUpdate:
         for _ in range(20):
             scores = rng.uniform(0.0, 2.0, 5)
             singles = tuple((r,) for r in range(5))
-            grouped = update_weights_group_simplex(
-                WeightUpdateInput(scores=scores, alpha=0.4, groups=singles)
-            )
-            plain = update_weights_simplex(WeightUpdateInput(scores=scores, alpha=0.4))
+            grouped = update("group_simplex", scores, 0.4, groups=singles)
+            plain = update("simplex", scores, 0.4)
             assert np.array_equal(grouped.w, plain.w)
 
     def test_partition_required_and_checked(self):
+        # The configuration checks the partition, and each solve checks it
+        # once against the objects' feature count; the update trusts it.
         with pytest.raises(InvalidPartition):
-            update_weights_group_simplex(WeightUpdateInput(scores=[1.0, 2.0], alpha=0.5))
+            FsFgwConfig(mode="group_simplex")
         with pytest.raises(InvalidPartition):
-            update_weights_group_simplex(
-                WeightUpdateInput(scores=[1.0, 2.0], alpha=0.5, groups=((0,),))
-            )
+            FsFgwConfig(mode="group_simplex", groups=((0, 1), (1,)))
+        rng = np.random.default_rng(0)
+        x, y = make_object(rng, 4, 2), make_object(rng, 5, 2)
         with pytest.raises(InvalidPartition):
-            update_weights_group_simplex(
-                WeightUpdateInput(scores=[1.0, 2.0], alpha=0.5, groups=((0, 1), (1,)))
-            )
+            solve_fsfgw(x, y, FsFgwConfig(mode="group_simplex", groups=((0,),)))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -195,28 +175,10 @@ class TestGroupSimplexUpdate:
         groups = tuple(groups)
         scores = rng.uniform(0.0, 3.0, start)
         alpha = float(rng.uniform(0.0, 1.0))
-        w = update_weights_group_simplex(
-            WeightUpdateInput(scores=scores, alpha=alpha, groups=groups)
-        ).w
+        w = update("group_simplex", scores, alpha, groups=groups).w
         value = oracles.subproblem_value(w, scores, alpha, None, "group_simplex", groups)
         ref = oracles.grid_min_subproblem(scores, alpha, None, "group_simplex", groups)
         assert value <= ref + 1e-12
-
-
-class TestUpdateDispatch:
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidConfig):
-            update_weights("elastic", WeightUpdateInput(scores=[1.0], alpha=0.5))
-
-    def test_input_validation(self):
-        with pytest.raises(ShapeMismatch):
-            WeightUpdateInput(scores=[-1.0], alpha=0.5)
-        with pytest.raises(ShapeMismatch):
-            WeightUpdateInput(scores=[np.nan], alpha=0.5)
-        with pytest.raises(ShapeMismatch):
-            WeightUpdateInput(scores=[], alpha=0.5)
-        with pytest.raises(InvalidConfig):
-            WeightUpdateInput(scores=[1.0], alpha=1.5)
 
 
 class TestCalibrateLambda:
@@ -230,7 +192,7 @@ class TestCalibrateLambda:
     def test_equal_scores_suppress_nothing_under_lasso(self):
         scores = np.full(6, 2.0)
         lam = calibrate_lambda(scores, alpha=0.5, fraction=0.5)
-        w = update_weights_lasso(WeightUpdateInput(scores=scores, alpha=0.5, lam=lam)).w
+        w = update("lasso", scores, 0.5, lam).w
         assert np.array_equal(w, np.zeros(6))
 
     def test_fraction_range(self):
@@ -253,9 +215,7 @@ class TestCalibrateLambda:
         for d, f in ((10, 0.3), (7, 0.3), (20, 0.45), (13, 0.8)):
             scores = rng.permutation(np.linspace(0.5, 5.0, d))
             lam = calibrate_lambda(scores, alpha=0.5, fraction=f)
-            w = update_weights_lasso(
-                WeightUpdateInput(scores=scores, alpha=0.5, lam=lam)
-            ).w
+            w = update("lasso", scores, 0.5, lam).w
             assert abs(w.sum() - f * d) < 1.0
 
 
@@ -283,8 +243,7 @@ class TestReducedObjective:
         scores = rng.uniform(0.0, 3.0, d)
         alpha = float(rng.uniform(0.0, 0.95))
         lam = float(rng.uniform(0.05, 2.0))
-        inp = WeightUpdateInput(scores=scores, alpha=alpha, lam=lam)
-        w = update_weights(mode, inp).w
+        w = update(mode, scores, alpha, lam).w
         direct = oracles.subproblem_value(w, scores, alpha, lam, mode)
         assert reduced_objective_g(scores, alpha, lam, mode) == pytest.approx(
             direct, abs=1e-10
@@ -292,9 +251,7 @@ class TestReducedObjective:
 
     def test_zero_lambda_limit_clears_the_feature_term(self):
         scores = np.array([0.4, 1.7, 0.2])
-        w = update_weights_lasso(
-            WeightUpdateInput(scores=scores, alpha=0.25, lam=0.0)
-        ).w
+        w = update("lasso", scores, 0.25, 0.0).w
         assert np.array_equal(w, np.ones(3))
         assert float(((1.0 - w) * scores).sum()) == 0.0
 
@@ -554,6 +511,38 @@ class TestSolveFsfgw:
         result = solve_fsfgw(x, y, FsFgwConfig(mode="lasso", lam=0.1, restarts=restarts))
         assert result.outer_iters >= 1
         assert counts == {"problem": 1, "plan": 1 + restarts}
+
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_partition_checked_once_and_weights_once_per_solve(self, monkeypatch, restarts):
+        # Weight updates return arrays: the partition is checked against the
+        # feature count once, and again only by each returned result.
+        import fsfgw.core
+        import fsfgw.suppression
+
+        config = FsFgwConfig(
+            mode="group_simplex", groups=((0, 2), (1,)), max_outer_iter=2, restarts=restarts
+        )
+        counts = {"partition": 0, "weights": 0}
+        real_check = fsfgw.core.check_partition
+
+        def counting_check(*args, **kwargs):
+            counts["partition"] += 1
+            return real_check(*args, **kwargs)
+
+        real_init = SuppressionWeights.__post_init__
+
+        def counting_init(self):
+            counts["weights"] += 1
+            real_init(self)
+
+        monkeypatch.setattr(fsfgw.core, "check_partition", counting_check)
+        monkeypatch.setattr(fsfgw.suppression, "check_partition", counting_check)
+        monkeypatch.setattr(SuppressionWeights, "__post_init__", counting_init)
+        rng = np.random.default_rng(16)
+        x, y = make_object(rng, 5, 3), make_object(rng, 6, 3)
+        result = solve_fsfgw(x, y, config)
+        assert result.outer_iters == 2
+        assert counts == {"partition": 2 + restarts, "weights": 1 + restarts}
 
     def test_result_serializes_with_the_level_key(self):
         rng = np.random.default_rng(13)
