@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over the outputs of a fixed set of solves.
 
-    PYTHONPATH=src python3 scripts/solve_digest.py [--count N]
+    PYTHONPATH=src python3 scripts/solve_digest.py [--count N] [--large L]
 
 Solve k (k = 0..N-1, N = 720 unless ``--count`` sets it) draws a pair of
 point clouds from seed k and solves it with configuration k mod 108: every
 combination of mode, q in {1, 1.5, 2}, restarts 0-2, uniform or Dirichlet
-measures and, for lasso and ridge, a fixed or a calibrated level.  The
+measures and, for lasso and ridge, a fixed or a calibrated level.  These
+clouds have 4-11 nodes.  ``--large L`` (default 0) adds L solves of 46-55
+node clouds, large solve j from seed 10,000 + j with the q != 2
+configuration 7j mod 72, so that n m > 2048 and the q != 2 structure
+operator keeps no difference block; uniform measures then have n = m and
+take the assignment route.  The
 digest covers each result's plan, weights, scores, terms, level, trace,
 outer iteration count and convergence flag, so two trees that print the
 same digest gave the same bits on every solve.  The q = 2 products go
@@ -25,6 +30,7 @@ LEVELS = {
 CONFIGS = [(FsFgwConfig(mode=mode, q=q, restarts=restarts, **level), uniform)
            for mode, levels in LEVELS.items() for level in levels
            for q in (1.0, 1.5, 2.0) for restarts in (0, 1, 2) for uniform in (True, False)]
+LARGE = [(config, uniform) for config, uniform in CONFIGS if config.q != 2.0]
 
 
 def cloud(rng, n, uniform, d=6):
@@ -34,15 +40,26 @@ def cloud(rng, n, uniform, d=6):
     return StructuredObject(C=C / C.max(), a=a, X=rng.normal(size=(n, d)))
 
 
+def pairs(count, large):
+    for k in range(count):
+        config, uniform = CONFIGS[k % len(CONFIGS)]
+        rng = np.random.default_rng(k)
+        x = cloud(rng, int(rng.integers(4, 12)), uniform)
+        yield x, cloud(rng, int(rng.integers(4, 12)), uniform), config
+    for j in range(large):
+        config, uniform = LARGE[7 * j % len(LARGE)]
+        rng = np.random.default_rng(10_000 + j)
+        n = int(rng.integers(46, 56))
+        yield cloud(rng, n, uniform), cloud(rng, n if uniform else int(rng.integers(46, 56)),
+                                             uniform), config
+
+
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--count", type=int, default=720)
+parser.add_argument("--large", type=int, default=0)
 args = parser.parse_args()
 h = hashlib.sha256()
-for k in range(args.count):
-    config, uniform = CONFIGS[k % len(CONFIGS)]
-    rng = np.random.default_rng(k)
-    x = cloud(rng, int(rng.integers(4, 12)), uniform)
-    y = cloud(rng, int(rng.integers(4, 12)), uniform)
+for x, y, config in pairs(args.count, args.large):
     r = solve_fsfgw(x, y, config)
     scalars = (r.objective, r.feature_term, r.gw_term, r.reg_term, r.lambda_used,
                r.outer_iters, r.converged)

@@ -347,7 +347,7 @@ class FsFgwConfig:
             object.__setattr__(self, "groups", check_partition(self.groups))
         elif self.groups is not None:
             raise InvalidConfig(f"groups are only meaningful for group_simplex mode")
-        for name, least in (("max_outer_iter", 1), ("restarts", 0)):
+        for name, least in (("max_outer_iter", 1), ("restarts", 0), ("seed", 0)):
             try:
                 value = operator.index(getattr(self, name))
             except TypeError:

@@ -14,22 +14,27 @@ Other exponents use the direct contraction, only permitted up to
 n * m = 10,000: when (n m)^2 <= 2**22 the operator keeps the whole
 difference block (at most 32 MiB) and applies it with one einsum, which
 makes no BLAS call; larger instances rebuild the block in pieces of at
-most 32 MiB on every call.
+most 32 MiB on every call.  ``StructureOperator.sparse`` applies K to an
+LP vertex's at most n + m - 1 nonzeros in O(n m (n + m)), also by einsum.
 
 ``FgwProblem`` is the fixed half of the problem, (C1, C2, alpha, q, a, b),
-checked once when it is built; ``solve_fgw(problem, M_eff, init, basis)``
-checks only the feature cost ``M_eff`` and the warm start's shape.  It
-minimizes (1 - alpha) <M_eff, T> + alpha GW(T) over U(a, b) by
-conditional gradient: each iteration solves an exact transport LP on
-the current gradient, warm-started from the previous LP's basis (the
-marginals never change within a solve), and evaluates K once, on the
-direction D.  K's kernel is symmetric, so the objective along T + gamma D
+checked once when it is built, with read-only copies of a and b;
+``solve_fgw(problem, M_eff, init, basis, gradient)`` checks only the
+shapes of its arrays and the finiteness of ``M_eff``.  It minimizes
+(1 - alpha) <M_eff, T> + alpha GW(T) over U(a, b) by conditional
+gradient: each iteration solves an exact transport LP on the current
+gradient, warm-started from the previous LP's basis (the marginals never
+change within a solve), and applies K once: to the direction D at q = 2,
+otherwise to the LP vertex, since K(D) = K(vertex) - K(T) and G = 2 K(T)
+is carried from step to step and, through ``FgwSolve.G``, from solve to
+solve.  K's kernel is symmetric, so the objective along T + gamma D
 is an exact quadratic in gamma: the step is its exact minimizer (q = 2)
 or an Armijo backtracking step on the closed form (q != 2).  Steps are
 accepted only when they strictly decrease the objective, so the iterate
 sequence is monotone and a converged warm start is returned unchanged.
-Each LP goes through ``solve_emd`` and its checks; ``LpSolution.T`` and
-``FgwSolve.T`` are the solvers' own read-only arrays, not re-checked.
+Each LP goes through ``solve_emd``, which trusts a basis it returned for
+the problem's read-only marginals; ``LpSolution.T`` and ``FgwSolve.T``
+are the solvers' own read-only arrays, not re-checked.
 """
 
 from __future__ import annotations
@@ -153,6 +158,24 @@ class StructureOperator:
             return np.einsum("bjkl,kl->bj", self.block, T)
         return _contraction(T, self.C1, self.C2, self.q)
 
+    def sparse(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """K of the n x m matrix with ``values`` at (``rows``, ``cols``) and
+        zeros elsewhere, such as an LP vertex: an einsum over |C1[:, rows]
+        - C2[:, cols]|^q in pieces of at most 2**22 doubles, gathers included."""
+
+        n, m = self.shape
+        K = np.zeros((n, m))
+        step = max(1, _BLOCK_DOUBLES // (n * m + n + m))
+        for s0 in range(0, len(values), step):
+            piece = slice(s0, s0 + step)
+            diff = self.C1[:, None, rows[piece]] - self.C2[None, :, cols[piece]]
+            np.abs(diff, out=diff)
+            if self.q != 1.0:
+                diff **= self.q
+            K += np.einsum("ijs,s->ij", diff, values[piece])
+            del diff  # free the piece before the next one is allocated
+        return K
+
 
 def _operator(T, C1, C2, q, operator: StructureOperator | None) -> StructureOperator:
     if operator is None:
@@ -219,8 +242,8 @@ class FgwProblem:
     def __post_init__(self) -> None:
         C1 = np.asarray(self.C1, dtype=float)
         C2 = np.asarray(self.C2, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        a = np.array(self.a, dtype=float)  # copies, made read-only below
+        b = np.array(self.b, dtype=float)
         n, m = a.shape[0], b.shape[0]
         if C1.shape != (n, n) or C2.shape != (m, m):
             raise ShapeMismatch(
@@ -233,14 +256,21 @@ class FgwProblem:
             if not np.all(np.isfinite(arr)):
                 raise ShapeMismatch(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
+        # Read-only, so that solve_emd may trust an LP basis it returned
+        # for these very arrays.
+        a.setflags(write=False)
+        b.setflags(write=False)
         object.__setattr__(self, "operator", StructureOperator(C1, C2, self.q))
 
 
 class FgwSolve(NamedTuple):
     """The final plan ``T`` (the solver's own read-only n x m array, not
     re-checked) and objective, the CG iterations, the objective trace, the
-    last LP basis (None on the assignment route), and the sum of the LP
-    pivots."""
+    last LP basis (None on the assignment route), the sum of the LP
+    pivots, the carried structure gradient ``G`` = 2 K(T) (read-only), and
+    why CG stopped: ``"stationary"`` (the LP vertex does not improve on T),
+    ``"no step"`` (the line search found none), ``"tol"`` (the decrease
+    fell below the tolerance) or ``"cap"`` (the iteration cap)."""
 
     T: np.ndarray
     objective: float
@@ -248,6 +278,8 @@ class FgwSolve(NamedTuple):
     trace: tuple[float, ...] = ()
     basis: Basis | None = None
     lp_pivots: int = 0
+    G: np.ndarray | None = None
+    stop: str = "cap"
 
 
 def _armijo_step(quad: float, slope: float) -> float:
@@ -267,6 +299,7 @@ def solve_fgw(
     M_eff: np.ndarray,
     init: np.ndarray | None = None,
     basis: Basis | None = None,
+    gradient: np.ndarray | None = None,
 ) -> FgwSolve:
     """Conditional-gradient minimization of (1 - alpha) <M_eff, T> +
     alpha GW(T) over U(a, b), with K the problem's ``operator``.
@@ -279,17 +312,19 @@ def solve_fgw(
     below 1e-9 (the candidate is then discarded, so a converged warm start
     is returned bit-identically) or after 200 iterations.
 
-    Each iteration evaluates ``gw_gradient`` once, on the direction D;
-    the step, the decrease and the next gradient follow from it in closed
-    form, so the returned objective can differ from the objective
-    evaluated afresh at the plan by accumulated rounding.
+    ``gradient`` is 2 K(init), the ``FgwSolve.G`` returned with ``init``,
+    trusted; ``gw_gradient`` evaluates it when it is None.  Each iteration
+    applies K once, to D (q = 2) or to the LP vertex; the step, the
+    decrease and the next gradient follow in closed form, so the returned
+    objective and gradient can differ from those evaluated afresh at the
+    plan by accumulated rounding.
 
     Each LP starts from the basis the previous one returned, the first
     from ``basis`` (an ``FgwSolve.basis`` for the same marginals) or cold.
-    The result is a function of (problem, M_eff, init, basis): on degenerate
-    gradients a warm LP may pick a different optimal vertex than a cold
-    one, so the CG path can differ from a cold one's while every LP value
-    is the same.
+    The result is a function of (problem, M_eff, init, basis, gradient): on
+    degenerate gradients a warm LP may pick a different optimal vertex than
+    a cold one, so the CG path can differ from a cold one's while every LP
+    value is the same.
     """
 
     alpha, q, operator = problem.alpha, problem.q, problem.operator
@@ -300,20 +335,23 @@ def solve_fgw(
         raise ShapeMismatch(f"M_eff of shape {M.shape} does not fit a {shape} plan")
     if not np.all(np.isfinite(M)):
         raise ShapeMismatch("M_eff contains non-finite entries")
-    if init is None:
-        T = np.outer(a, b)
-    else:
-        T = np.array(init, dtype=float)
-        if T.shape != shape:
-            raise ShapeMismatch(f"warm start of shape {T.shape} does not fit a {shape} plan")
+    T = np.outer(a, b) if init is None else np.array(init, dtype=float)
+    if T.shape != shape:
+        raise ShapeMismatch(f"warm start of shape {T.shape} does not fit a {shape} plan")
 
     # G = 2 K(T) is the structure gradient; K's linearity carries it and
-    # the objective from step to step with one operator call on D each.
-    G = gw_gradient(T, C1, C2, q, operator)
+    # the objective from step to step with one operator call each.
+    if gradient is None:
+        G = gw_gradient(T, C1, C2, q, operator)
+    else:
+        G = np.array(gradient, dtype=float)
+        if G.shape != shape:
+            raise ShapeMismatch(f"gradient of shape {G.shape} does not fit a {shape} plan")
     obj = (1.0 - alpha) * float(np.sum(M * T)) + alpha * 0.5 * float(np.sum(G * T))
     trace = [obj]
     iters = 0
     pivots = 0
+    stop = "cap"
     for _ in range(_CG_MAX_ITER):
         iters += 1
         grad = (1.0 - alpha) * M + alpha * G
@@ -325,15 +363,22 @@ def solve_fgw(
         if slope >= 0.0:
             # The vertex does not improve on T: stationary for this LP.
             iters -= 1
+            stop = "stationary"
             break
-        G_d = gw_gradient(direction, C1, C2, q, operator)
+        if q == 2.0:
+            G_d = gw_gradient(direction, C1, C2, q, operator)
+        else:
+            rows, cols = np.nonzero(lp.T)
+            G_d = 2.0 * operator.sparse(rows, cols, lp.T[rows, cols]) - G
         quad = 0.5 * alpha * float(np.sum(G_d * direction))
         gamma = line_search_quadratic(quad, slope) if q == 2.0 else _armijo_step(quad, slope)
         if gamma <= 0.0:
             iters -= 1
+            stop = "no step"
             break
         decrease = -(gamma * slope + gamma * gamma * quad)
         if decrease <= _CG_TOL * max(1.0, abs(obj)):
+            stop = "tol"
             break
         T = T + gamma * direction
         G = G + gamma * G_d
@@ -341,4 +386,5 @@ def solve_fgw(
         trace.append(obj)
 
     T.setflags(write=False)
-    return FgwSolve(T, obj, iters, tuple(trace), basis, pivots)
+    G.setflags(write=False)
+    return FgwSolve(T, obj, iters, tuple(trace), basis, pivots, G, stop)

@@ -16,8 +16,9 @@ positive score and retain zero scores.
 
 ``solve_fsfgw`` alternates these updates with warm-started conditional
 gradient transport solves: each outer iteration starts from the previous
-plan and from the previous LP basis.  The basis never leaves one
-alternating solve (restarts start cold), so a solve is a function of
+plan, LP basis and structure gradient 2 K(T), so only the first solve of
+each alternating run applies K to a dense plan.  The basis never leaves
+one alternating solve (restarts start cold), so a solve is a function of
 (x, y, config).  The FGW problem with its structure operator, the
 partition and the level are set up once per solve and shared by every
 outer iteration and restart.
@@ -142,16 +143,23 @@ def _solve_once(
     alpha, q, mode = config.alpha, config.q, config.mode
     w = w_new = np.zeros(stack.shape[0])
     # The LP marginals are problem.a and problem.b throughout, so each
-    # transport solve starts from the last LP basis of the one before.
-    T, basis, obj = init, None, 0.0
+    # transport solve starts from the last plan, basis and gradient.
+    T, basis, G, obj = init, None, None, 0.0
     trace = []
     converged = False
     for k in range(config.max_outer_iter + 1):
         if k > 0:
             w_new = update_weights(mode, scores, alpha, lam, groups)
+            if np.array_equal(w_new, w) and solved.stop != "cap":
+                # A weight fixed point: M_eff would be the same bits, and
+                # a solve that stopped on its own would return its warm
+                # start unchanged, so this iteration repeats the last.
+                trace.append(TraceEntry(obj, 0.0))
+                converged = True
+                break
         M_eff = np.einsum("r,rij->ij", (1.0 - w_new) * inv_size, stack)
-        solved = solve_fgw(problem, M_eff, T, basis)
-        T, basis = solved.T, solved.basis
+        solved = solve_fgw(problem, M_eff, T, basis, G)
+        T, basis, G = solved.T, solved.basis, solved.G
         scores = feature_scores(T, stack)
         if lam is None:
             lam = calibrate_lambda(scores, alpha, config.suppression_fraction)
@@ -214,9 +222,12 @@ def solve_fsfgw(
     regularization level is calibrated once from the initial scores of the
     first solve, and every restart reuses that level.  The loop stops when
     both the weight change and the relative objective change drop below
-    1e-7; hitting ``max_outer_iter`` instead is reported via
-    ``converged=False``, not an error.  With ``restarts > 0`` the solve is
-    repeated from random feasible couplings and the lowest objective wins.
+    1e-7, or at a weight fixed point (weights equal to the last ones after
+    a transport solve that stopped before its cap), where a re-solve would
+    repeat the last iteration.  Hitting ``max_outer_iter`` instead is
+    reported via ``converged=False``, not an error.  With ``restarts > 0``
+    the solve is repeated from random feasible couplings and the lowest
+    objective wins.
 
     Argument symmetry: every pair is solved in one canonical orientation,
     so the objective, terms, weights, scores, level and trace of (x, y)

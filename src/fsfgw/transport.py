@@ -33,8 +33,10 @@ a given cost but follows no index rule.
 
 ``solve_emd`` checks its input on every call: a finite cost, nonnegative
 marginals of equal mass, and a basis that carries them on a spanning
-tree.  ``LpSolution.T`` is the solver's own read-only array, on the
-marginals by construction, and is not checked again.
+tree; only a basis it returned for the very same read-only marginal
+arrays is trusted, and keeps its tree.  ``LpSolution.T`` is the solver's
+own read-only array, on the marginals by construction, and is not
+checked again.
 
 ``line_search_quadratic`` is the exact minimizer of a 1-D quadratic on
 [0, 1], used by the conditional-gradient solver.
@@ -94,8 +96,9 @@ class LpSolution:
     assignment route solved the LP.  ``basis`` is the final spanning tree
     as read-only ``(arc_row, arc_col, arc_flow)`` arrays of n + m - 1 arcs;
     passed back to ``solve_emd`` with the same marginals it warm-starts the
-    next solve.  The plan is a function of (cost, a, b, basis).  The
-    assignment route returns no basis.
+    next solve, and with the same read-only marginal arrays it also skips
+    that solve's checks and tree build.  The plan is a function of (cost,
+    a, b, basis).  The assignment route returns no basis.
     """
 
     T: np.ndarray
@@ -175,6 +178,23 @@ def _check_basis(basis: Basis, a: np.ndarray, b: np.ndarray):
     return arc_row, arc_col, arc_flow
 
 
+class _Basis(tuple):
+    """A basis that ``solve_emd`` returned: the ``(arc_row, arc_col,
+    arc_flow)`` tuple, plus ``marginals``, the marginal arguments of that
+    call, and ``tree``, its spanning tree hung from row node 0 as
+    ``(parent, parent_arc, depth, adjacency)`` lists."""
+
+
+def _trusted(basis, a, b, n: int, m: int) -> bool:
+    """Whether ``basis`` was returned for these very marginal arrays, both
+    read-only (so still as that call checked them), of this cost's shape."""
+
+    return isinstance(basis, _Basis) and all(
+        x is y and isinstance(x, np.ndarray) and not x.flags.writeable and x.shape == (k,)
+        for x, y, k in zip((a, b), basis.marginals, (n, m))
+    )
+
+
 def solve_emd(
     cost: np.ndarray,
     a: np.ndarray,
@@ -201,9 +221,13 @@ def solve_emd(
 
     ``basis`` is a spanning tree that an earlier call returned for the
     same marginals; the simplex starts from it instead.  One that does not
-    fit the marginals raises ``InvalidBasis``.  On degenerate costs a warm
-    start may end at a different optimal vertex than a cold start, with
-    the same value.  The assignment route ignores the basis.
+    fit the marginals raises ``InvalidBasis``.  A basis that this function
+    returned for the very same read-only arrays ``a`` and ``b`` (``is``)
+    is trusted: the marginal and basis checks are skipped and its tree is
+    reused, not changed, with the same result as the checked route.  On
+    degenerate costs a warm start may end at a different optimal vertex
+    than a cold start, with the same value.  The assignment route ignores
+    the basis.
     """
 
     cost = np.ascontiguousarray(cost, dtype=float)
@@ -212,37 +236,42 @@ def solve_emd(
     n, m = cost.shape
     if not np.all(np.isfinite(cost)):
         raise Infeasible("cost matrix must be finite")
-    a = np.ascontiguousarray(a, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    if a.shape != (n,) or b.shape != (m,):
-        raise ShapeMismatch(
-            f"marginals of shapes {a.shape}, {b.shape} do not fit cost {cost.shape}"
-        )
-    if a.min(initial=0.0) < 0.0 or b.min(initial=0.0) < 0.0:
-        raise Infeasible("marginals must be nonnegative")
-    sa, sb = float(a.sum()), float(b.sum())
-    if sa <= 0.0 or sb <= 0.0:
-        raise Infeasible("marginals must have positive mass")
-    if abs(sa - sb) > IMBALANCE_TOL:
-        raise Infeasible(f"marginal sums differ by {abs(sa - sb):.3e} (> {IMBALANCE_TOL:g})")
-    # Tested before b is rescaled, since absorbing the residue can make one
-    # entry of a uniform b differ in the last bit.
-    uniform_square = n == m and bool(np.all(a == a[0]) and np.all(b == b[0]))
-    b = b * (sa / sb)
-    b = b.copy()
-    b[int(np.argmax(b))] += sa - b.sum()
-
-    if uniform_square:
-        rows, perm = linear_sum_assignment(cost)
-        T = np.zeros((n, m))
-        T[rows, perm] = a
-        T.setflags(write=False)
-        return LpSolution(T=T, value=float(np.dot(cost[rows, perm], a)), iterations=0)
-
-    if basis is None:
-        arc_row, arc_col, arc_flow = _least_cost_start(cost, a, b)
+    given = (a, b)
+    trusted = _trusted(basis, a, b, n, m)
+    if trusted:
+        arc_row, arc_col, arc_flow = (np.array(part) for part in basis)
     else:
-        arc_row, arc_col, arc_flow = _check_basis(basis, a, b)
+        a = np.ascontiguousarray(a, dtype=float)
+        b = np.ascontiguousarray(b, dtype=float)
+        if a.shape != (n,) or b.shape != (m,):
+            raise ShapeMismatch(
+                f"marginals of shapes {a.shape}, {b.shape} do not fit cost {cost.shape}"
+            )
+        if a.min(initial=0.0) < 0.0 or b.min(initial=0.0) < 0.0:
+            raise Infeasible("marginals must be nonnegative")
+        sa, sb = float(a.sum()), float(b.sum())
+        if sa <= 0.0 or sb <= 0.0:
+            raise Infeasible("marginals must have positive mass")
+        if abs(sa - sb) > IMBALANCE_TOL:
+            raise Infeasible(f"marginal sums differ by {abs(sa - sb):.3e} (> {IMBALANCE_TOL:g})")
+        # Tested before b is rescaled, since absorbing the residue can make one
+        # entry of a uniform b differ in the last bit.
+        uniform_square = n == m and bool(np.all(a == a[0]) and np.all(b == b[0]))
+        b = b * (sa / sb)
+        b = b.copy()
+        b[int(np.argmax(b))] += sa - b.sum()
+
+        if uniform_square:
+            rows, perm = linear_sum_assignment(cost)
+            T = np.zeros((n, m))
+            T[rows, perm] = a
+            T.setflags(write=False)
+            return LpSolution(T=T, value=float(np.dot(cost[rows, perm], a)), iterations=0)
+
+        if basis is None:
+            arc_row, arc_col, arc_flow = _least_cost_start(cost, a, b)
+        else:
+            arc_row, arc_col, arc_flow = _check_basis(basis, a, b)
     n_nodes = n + m
     # Column nodes are offset by n.  Per basic arc: its flow, its cost, and
     # the sum of its two end nodes (so one end gives the other).
@@ -250,20 +279,25 @@ def solve_emd(
     flat = arc_row * m + arc_col  # flat cell index per basic arc
     arc_cost = cost.ravel()[flat].tolist()
     ends = (arc_row + n + arc_col).tolist()
-    adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
-    for arc, (i, end_sum) in enumerate(zip(arc_row.tolist(), ends)):
-        adjacency[i].append(arc)
-        adjacency[end_sum - i].append(arc)
 
     if max_pivots is None:
         max_pivots = 200 * n_nodes + 1000
     bland_after = 20 * n_nodes + 200
 
     # Tree rooted at row node 0, and the node potentials (u, then v) with
-    # pot[0] = 0 and cost = pot[row] + pot[col] on every basic arc.
-    parent = [-1] * n_nodes
-    parent_arc = [-1] * n_nodes
-    depth = [0] * n_nodes
+    # pot[0] = 0 and cost = pot[row] + pot[col] on every basic arc.  A
+    # trusted basis brings a copy of its tree, so it stays reusable.
+    if trusted:
+        parent, parent_arc, depth = (nodes[:] for nodes in basis.tree[:3])
+        adjacency = [arcs[:] for arcs in basis.tree[3]]
+    else:
+        adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
+        for arc, (i, end_sum) in enumerate(zip(arc_row.tolist(), ends)):
+            adjacency[i].append(arc)
+            adjacency[end_sum - i].append(arc)
+        parent = [-1] * n_nodes
+        parent_arc = [-1] * n_nodes
+        depth = [0] * n_nodes
     pot = [0.0] * n_nodes
 
     def hang(root: int, above: int, arc: int) -> int:
@@ -299,7 +333,12 @@ def solve_emd(
                     stack.append(other)
         return placed + len(stack)
 
-    if hang(0, -1, -1) != n_nodes:
+    if trusted:
+        # Only the arc costs changed: set the potentials parents first,
+        # by the rule ``hang`` uses, so they are the same bits.
+        for node in np.argsort(depth, kind="stable").tolist()[1:]:
+            pot[node] = arc_cost[parent_arc[node]] - pot[parent[node]]
+    elif hang(0, -1, -1) != n_nodes:
         raise InvalidBasis("the basis arcs do not form a spanning tree")
 
     pivots = 0
@@ -387,7 +426,10 @@ def solve_emd(
     value = float(np.dot(cost[arc_row, arc_col], np.maximum(arc_flow, 0.0)))
     for part in (T, arc_row, arc_col, arc_flow):
         part.setflags(write=False)
-    return LpSolution(T=T, value=value, iterations=pivots, basis=(arc_row, arc_col, arc_flow))
+    final = _Basis((arc_row, arc_col, arc_flow))
+    final.marginals = given
+    final.tree = (parent, parent_arc, depth, adjacency)
+    return LpSolution(T=T, value=value, iterations=pivots, basis=final)
 
 
 def random_coupling(

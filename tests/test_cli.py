@@ -215,6 +215,14 @@ class TestSolveValidationErrors:
         assert doc["error"] == "InvalidConfig"
         assert not (tmp_path / "o" / "result.json").exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        x, y = self.write_pair(tmp_path)
+        code = main(["solve", str(x), str(y), "--mode", "lasso", "--lambda", "0.1",
+                     "--seed", "-1", "--out", str(tmp_path / "o")])
+        doc = self.assert_error_json(capsys, code, 2)
+        assert doc["error"] == "InvalidConfig"
+        assert "seed" in doc["message"]
+
     def test_missing_input_file(self, tmp_path, capsys):
         x, _ = self.write_pair(tmp_path)
         code = main(["solve", str(x), str(tmp_path / "absent.json"),

@@ -204,6 +204,8 @@ class TestFsFgwConfig:
         with pytest.raises(InvalidConfig):
             FsFgwConfig(mode="lasso", lam=1.0, restarts=-1)
         with pytest.raises(InvalidConfig):
+            FsFgwConfig(mode="lasso", lam=1.0, seed=-1)
+        with pytest.raises(InvalidConfig):
             FsFgwConfig(mode="elastic", lam=1.0)
         with pytest.raises(InvalidConfig):
             FsFgwConfig(mode="simplex", alpha=-0.1)
@@ -212,7 +214,7 @@ class TestFsFgwConfig:
         "field, value",
         [("lam", np.inf), ("lam", np.nan), ("q", np.inf), ("q", np.nan),
          ("alpha", np.nan), ("max_outer_iter", 2.5), ("max_outer_iter", 2.0),
-         ("restarts", 1.5), ("restarts", "1")],
+         ("restarts", 1.5), ("restarts", "1"), ("seed", 1.5), ("seed", "1")],
     )
     def test_non_finite_and_non_integral_values(self, field, value):
         with pytest.raises(InvalidConfig):
@@ -220,9 +222,9 @@ class TestFsFgwConfig:
 
     def test_integer_counts_become_ints(self):
         config = FsFgwConfig(mode="lasso", lam=1.0, max_outer_iter=np.int64(3),
-                             restarts=np.uint8(2))
-        assert (config.max_outer_iter, config.restarts) == (3, 2)
-        assert type(config.max_outer_iter) is int and type(config.restarts) is int
+                             restarts=np.uint8(2), seed=np.int32(7))
+        assert (config.max_outer_iter, config.restarts, config.seed) == (3, 2, 7)
+        assert all(type(v) is int for v in (config.max_outer_iter, config.restarts, config.seed))
 
 
 class TestValidatePair:

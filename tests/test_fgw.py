@@ -19,6 +19,7 @@ from fsfgw.fgw import (
     solve_fgw,
 )
 from fsfgw.suppression import solve_fsfgw
+from fsfgw.transport import solve_emd
 from oracles import fgw_objective
 
 def random_problem(rng, n, m, alpha=0.5, q=2.0):
@@ -378,16 +379,20 @@ class TestLinearOperator:
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_one_operator_call_per_line_search(self, monkeypatch, q):
-        calls = {"gw_gradient": 0, "gw_value": 0}
+        # K is applied to a dense plan once, for the starting gradient, and
+        # once per reached line search: to the direction D through
+        # gw_gradient at q = 2, to the LP vertex otherwise.
+        calls = {"gw_gradient": 0, "gw_value": 0, "sparse": 0}
         lps = []
-        for name in calls:
-            real = getattr(fsfgw.fgw, name)
+        for owner, name in ((fsfgw.fgw, "gw_gradient"), (fsfgw.fgw, "gw_value"),
+                            (StructureOperator, "sparse")):
+            real = getattr(owner, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(fsfgw.fgw, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         real_emd = fsfgw.fgw.solve_emd
 
         def recording(cost, *args, **kwargs):
@@ -404,9 +409,38 @@ class TestLinearOperator:
         # the line search unless its vertex was stationary.
         cost, vertex = lps[-1]
         reached = len(lps) - 1 + (float(np.sum(cost * (vertex - sol.T))) < 0.0)
-        assert counted == {"gw_gradient": 1 + reached, "gw_value": 0}
+        if q == 2.0:
+            assert counted == {"gw_gradient": 1 + reached, "gw_value": 0, "sparse": 0}
+        else:
+            assert counted == {"gw_gradient": 1, "gw_value": 0, "sparse": reached}
         assert sol.objective == pytest.approx(fgw_objective(sol.T, prob, M), rel=1e-12)
         assert all(b < a for a, b in zip(sol.trace, sol.trace[1:]))
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_carried_gradient_continues_the_solve(self, monkeypatch, q):
+        # FgwSolve.G is 2 K(T) up to rounding, and passing it back with its
+        # plan and basis starts the next solve without a dense evaluation.
+        prob, M = random_problem(np.random.default_rng(24), 9, 8, q=q)
+        first = solve_fgw(prob, M)
+        assert first.stop in ("stationary", "no step", "tol")
+        fresh = gw_gradient(first.T, prob.C1, prob.C2, q, prob.operator)
+        np.testing.assert_allclose(first.G, fresh, rtol=0.0, atol=1e-12)
+        assert not first.G.flags.writeable
+        calls = []
+        real = fsfgw.fgw.gw_gradient
+        monkeypatch.setattr(fsfgw.fgw, "gw_gradient",
+                            lambda *args: calls.append(1) or real(*args))
+        again = solve_fgw(prob, M, first.T, first.basis, first.G)
+        assert np.array_equal(again.T, first.T) and again.cg_iters == 0
+        assert np.array_equal(again.G, first.G) and again.stop == first.stop
+        assert calls == []
+        with pytest.raises(ShapeMismatch):
+            solve_fgw(prob, M, first.T, first.basis, first.G.T)
+
+    def test_iteration_cap_is_a_stop_reason(self, monkeypatch):
+        monkeypatch.setattr(fsfgw.fgw, "_CG_MAX_ITER", 2)
+        sol = solve_fgw(*random_problem(np.random.default_rng(20), 8, 7, alpha=0.8, q=1.0))
+        assert (sol.stop, sol.cg_iters, len(sol.trace)) == ("cap", 2, 3)
 
 
 def point_cloud(rng, n, d=3):
@@ -456,6 +490,46 @@ class TestStructureOperator:
             gw_value(T, C1, C2, 3.0, op)
         with pytest.raises(ShapeMismatch):
             gw_gradient(T.T, C2, C1, 1.0, op)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("route", ["simplex", "assignment"])
+    def test_sparse_equals_dense_on_an_lp_vertex(self, q, route):
+        rng = np.random.default_rng(25)
+        n = m = 9
+        if route == "simplex":
+            a, b = oracles.random_measure(rng, n), oracles.random_measure(rng, m)
+        else:
+            a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        lp = solve_emd(rng.uniform(size=(n, m)), a, b)
+        assert (lp.basis is None) == (route == "assignment")
+        rows, cols = np.nonzero(lp.T)
+        op = StructureOperator(oracles.random_structure(rng, n),
+                               oracles.random_structure(rng, m), q)
+        sparse = op.sparse(rows, cols, lp.T[rows, cols])
+        np.testing.assert_allclose(sparse, op(lp.T), rtol=0.0, atol=1e-12)
+
+    def test_sparse_memory_is_bounded(self):
+        # At n = 2, m = 2000 the 2001 vertex entries would take an
+        # (n, m, 2001) piece of 64 MB and gather 32 MB of C2's columns;
+        # pieces of at most 2**22 doubles (33.6 MB) with their gathered
+        # columns keep the call under 40 MB.
+        n, m = 2, 2000
+        rng = np.random.default_rng(26)
+        a, b = oracles.random_measure(rng, n), oracles.random_measure(rng, m)
+        lp = solve_emd(np.zeros((n, m)), a, b)
+        rows, cols = np.nonzero(lp.T)
+        values = lp.T[rows, cols]
+        assert rows.size > 2 * (2**22 // (n * m + n + m))  # three pieces
+        op = StructureOperator(oracles.random_structure(rng, n),
+                               oracles.random_structure(rng, m), 1.0)
+        tracemalloc.start()
+        try:
+            K = op.sparse(rows, cols, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        np.testing.assert_allclose(K, op(lp.T), rtol=0.0, atol=1e-12)
 
     def test_alternating_solve_holds_one_block(self):
         # At n = m = 45 and q = 1 the cached block is 45**4 doubles

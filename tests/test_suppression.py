@@ -313,6 +313,47 @@ class TestSolveFsfgw:
         assert r.outer_iters == 1
         assert not r.converged
 
+    @staticmethod
+    def record_fgw_stops(monkeypatch):
+        import fsfgw.suppression
+
+        stops = []
+        real = fsfgw.suppression.solve_fgw
+
+        def recording(*args, **kwargs):
+            solved = real(*args, **kwargs)
+            stops.append(solved.stop)
+            return solved
+
+        monkeypatch.setattr(fsfgw.suppression, "solve_fgw", recording)
+        return stops
+
+    def test_weight_fixed_point_is_not_solved_again(self, monkeypatch):
+        # Weights that stay at 0 give the same M_eff, so the outer
+        # iteration after the first solve stops without a transport solve.
+        stops = self.record_fgw_stops(monkeypatch)
+        rng = np.random.default_rng(4)
+        x, y = make_object(rng, 5, 3), make_object(rng, 4, 3)
+        r = solve_fsfgw(x, y, FsFgwConfig(mode="lasso", lam=1e12))
+        assert np.array_equal(r.weights.w, np.zeros(3))
+        assert r.converged and r.outer_iters == 1
+        assert stops == ["stationary"]
+        assert r.trace[1] == (r.trace[0].objective, 0.0)
+
+    def test_capped_solve_is_solved_again(self, monkeypatch):
+        # A transport solve stopped by its iteration cap would go on from
+        # its last plan, so equal weights after it do not stop the loop.
+        import fsfgw.fgw
+
+        monkeypatch.setattr(fsfgw.fgw, "_CG_MAX_ITER", 1)
+        stops = self.record_fgw_stops(monkeypatch)
+        rng = np.random.default_rng(4)
+        x, y = make_object(rng, 5, 3), make_object(rng, 4, 3)
+        r = solve_fsfgw(x, y, FsFgwConfig(mode="lasso", lam=1e12))
+        assert np.array_equal(r.weights.w, np.zeros(3))
+        assert r.converged and r.outer_iters == 1
+        assert stops == ["cap", "stationary"]
+
     def test_singleton_groups_match_simplex_mode(self):
         rng = np.random.default_rng(8)
         x = make_object(rng, 5, 3)

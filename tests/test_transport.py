@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsfgw.transport
 import oracles
 from fsfgw.core import FsfgwError, ShapeMismatch
 from fsfgw.transport import (
@@ -254,6 +255,71 @@ class TestWarmBasis:
             solve_emd(cost.T, b, a, basis=basis)
         with pytest.raises(InvalidBasis):
             solve_emd(cost[:3], a[:3] / a[:3].sum(), b, basis=basis)
+
+    @staticmethod
+    def read_only_measures(rng, n, m):
+        a, b = masses_with_zeros(rng, n), masses_with_zeros(rng, m)
+        a.setflags(write=False)
+        b.setflags(write=False)
+        return a, b
+
+    @staticmethod
+    def count_basis_checks(monkeypatch):
+        checks = []
+        real = fsfgw.transport._check_basis
+        monkeypatch.setattr(fsfgw.transport, "_check_basis",
+                            lambda *args: checks.append(1) or real(*args))
+        return checks
+
+    def test_trusted_basis_gives_the_checked_bits(self, monkeypatch):
+        # A returned basis with the same read-only marginal arrays skips the
+        # checks and keeps its tree; the same arrays as a plain tuple are
+        # checked and re-hung.  Both give the same plans, bases and pivots.
+        checks = self.count_basis_checks(monkeypatch)
+        rng = np.random.default_rng(24)
+        for n, m in ((7, 9), (12, 5), (16, 16)):
+            a, b = self.read_only_measures(rng, n, m)
+            cost = rng.integers(0, 4, (n, m)).astype(float)
+            trusted = checked = solve_emd(cost, a, b)
+            for _ in range(4):
+                cost = cost + rng.normal(0.0, 0.3, (n, m))
+                del checks[:]
+                trusted = solve_emd(cost, a, b, basis=trusted.basis)
+                assert checks == []
+                checked = solve_emd(cost, a, b, basis=tuple(checked.basis))
+                assert checks == [1]
+                assert np.array_equal(trusted.T, checked.T)
+                assert trusted.iterations == checked.iterations
+                assert trusted.value == checked.value
+                for p, q in zip(trusted.basis, checked.basis):
+                    assert np.array_equal(p, q)
+
+    def test_writable_marginals_are_checked(self, monkeypatch):
+        checks = self.count_basis_checks(monkeypatch)
+        rng = np.random.default_rng(25)
+        a, b = masses_with_zeros(rng, 6), masses_with_zeros(rng, 8)
+        cost = rng.uniform(size=(6, 8))
+        solve_emd(cost, a, b, basis=solve_emd(cost, a, b).basis)
+        assert checks == [1]
+
+    def test_a_basis_warm_starts_twice_alike(self):
+        rng = np.random.default_rng(26)
+        a, b = self.read_only_measures(rng, 10, 13)
+        cost = rng.uniform(size=(10, 13))
+        basis = solve_emd(cost, a, b).basis
+        kept = [np.array(part) for part in basis]
+        step = cost + rng.normal(0.0, 0.5, cost.shape)
+        first = solve_emd(step, a, b, basis=basis)
+        again = solve_emd(step, a, b, basis=basis)
+        assert first.iterations > 0
+        assert np.array_equal(first.T, again.T) and first.iterations == again.iterations
+        assert all(np.array_equal(p, q) for p, q in zip(basis, kept))
+        # Another read-only array with the same masses is not trusted.
+        other = np.array(a)
+        other.setflags(write=False)
+        assert np.array_equal(solve_emd(step, other, b, basis=basis).T, first.T)
+        with pytest.raises(InvalidBasis):
+            solve_emd(step, np.roll(other, 1), b, basis=basis)
 
     def test_basis_that_is_not_a_tree_rejected(self):
         # Four arcs around the cycle r0-c0-r1-c1 carry the marginals, but
