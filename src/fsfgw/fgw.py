@@ -83,15 +83,19 @@ def _checked(T, C1, C2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return T, C1, C2
 
 
-def _difference_block(C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
-    """The (rows of C1, rows of C2, n, m) block |C1[i, i'] - C2[j, j']|^q,
-    built in place so it is the only array of its size."""
+def _distortion(diff: np.ndarray, q: float) -> np.ndarray:
+    """|diff|^q, computed in place so it is the only array of its size."""
 
-    diff = C1[:, None, :, None] - C2[None, :, None, :]
     np.abs(diff, out=diff)
     if q != 1.0:  # x ** 1.0 is x exactly
         diff **= q
     return diff
+
+
+def _difference_block(C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
+    """The (rows of C1, rows of C2, n, m) block |C1[i, i'] - C2[j, j']|^q."""
+
+    return _distortion(C1[:, None, :, None] - C2[None, :, None, :], q)
 
 
 def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
@@ -168,10 +172,8 @@ class StructureOperator:
         step = max(1, _BLOCK_DOUBLES // (n * m + n + m))
         for s0 in range(0, len(values), step):
             piece = slice(s0, s0 + step)
-            diff = self.C1[:, None, rows[piece]] - self.C2[None, :, cols[piece]]
-            np.abs(diff, out=diff)
-            if self.q != 1.0:
-                diff **= self.q
+            diff = _distortion(self.C1[:, None, rows[piece]] - self.C2[None, :, cols[piece]],
+                               self.q)
             K += np.einsum("ijs,s->ij", diff, values[piece])
             del diff  # free the piece before the next one is allocated
         return K

@@ -285,11 +285,16 @@ def solve_emd(
     bland_after = 20 * n_nodes + 200
 
     # Tree rooted at row node 0, and the node potentials (u, then v) with
-    # pot[0] = 0 and cost = pot[row] + pot[col] on every basic arc.  A
-    # trusted basis brings a copy of its tree, so it stays reusable.
+    # pot[0] = 0 and cost = pot[row] + pot[col] on every basic arc.
+    pot = [0.0] * n_nodes
     if trusted:
+        # A copy of the basis's tree, so the basis stays reusable.  Only
+        # the arc costs changed: the potentials are set parents first, by
+        # the rule ``hang`` uses, so they are the same bits.
         parent, parent_arc, depth = (nodes[:] for nodes in basis.tree[:3])
         adjacency = [arcs[:] for arcs in basis.tree[3]]
+        for node in np.argsort(depth, kind="stable").tolist()[1:]:
+            pot[node] = arc_cost[parent_arc[node]] - pot[parent[node]]
     else:
         adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
         for arc, (i, end_sum) in enumerate(zip(arc_row.tolist(), ends)):
@@ -298,7 +303,6 @@ def solve_emd(
         parent = [-1] * n_nodes
         parent_arc = [-1] * n_nodes
         depth = [0] * n_nodes
-    pot = [0.0] * n_nodes
 
     def hang(root: int, above: int, arc: int) -> int:
         """Hang the subtree holding ``root`` below node ``above`` through
@@ -333,12 +337,7 @@ def solve_emd(
                     stack.append(other)
         return placed + len(stack)
 
-    if trusted:
-        # Only the arc costs changed: set the potentials parents first,
-        # by the rule ``hang`` uses, so they are the same bits.
-        for node in np.argsort(depth, kind="stable").tolist()[1:]:
-            pot[node] = arc_cost[parent_arc[node]] - pot[parent[node]]
-    elif hang(0, -1, -1) != n_nodes:
+    if not trusted and hang(0, -1, -1) != n_nodes:
         raise InvalidBasis("the basis arcs do not form a spanning tree")
 
     pivots = 0
