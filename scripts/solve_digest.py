@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over the outputs of a fixed set of solves.
 
-    PYTHONPATH=src python3 scripts/solve_digest.py [--count N] [--large L]
+    PYTHONPATH=src python3 scripts/solve_digest.py [--count N] [--large L] [--plans K]
 
 Solve k (k = 0..N-1, N = 720 unless ``--count`` sets it) draws a pair of
 point clouds from seed k and solves it with configuration k mod 108: every
@@ -14,11 +14,18 @@ operator keeps no difference block; uniform measures then have n = m and
 take the assignment route.  The
 digest covers each result's plan, weights, scores, terms, level, trace,
 outer iteration count and convergence flag, so two trees that print the
-same digest gave the same bits on every solve.  The q = 2 products go
-through BLAS, so compare digests taken on one machine.
+same digest gave the same bits on every solve.  ``--plans K`` (default 0)
+then runs the first K batches of perfbench's ``redistrict-cluster``
+workload at seed 1 through ``fsfgw.cli.main``, once with ``--workers 1``
+and once with ``--workers 2``, and adds their ``plan_distances.csv`` and
+``dendrogram.json`` to the digest; it exits non-zero if the two worker
+counts write different bytes.  The q = 2 products go through BLAS, so
+compare digests taken on one machine.
 """
-import argparse, hashlib
+import argparse, contextlib, hashlib, importlib.util, io, sys, tempfile
+from pathlib import Path
 import numpy as np
+import fsfgw.cli
 from fsfgw import FsFgwConfig, StructuredObject, solve_fsfgw
 
 LEVELS = {
@@ -57,6 +64,7 @@ def pairs(count, large):
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--count", type=int, default=720)
 parser.add_argument("--large", type=int, default=0)
+parser.add_argument("--plans", type=int, default=0)
 args = parser.parse_args()
 h = hashlib.sha256()
 for x, y, config in pairs(args.count, args.large):
@@ -65,4 +73,24 @@ for x, y, config in pairs(args.count, args.large):
                r.outer_iters, r.converged)
     for arr in (r.plan.T, r.weights.w, r.scores, np.array(r.trace), np.array(scalars)):
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+if args.plans > 0:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with tempfile.TemporaryDirectory() as tmp:
+        batches = workloads.WORKLOADS["redistrict-cluster"].prepare(1, Path(tmp), args.plans)
+        for b, batch in enumerate(batches):
+            outs = [Path(tmp) / f"out-{b}-{workers}" for workers in (1, 2)]
+            for workers, out in zip((1, 2), outs):
+                # The later --workers and --out flags override the batch's own.
+                argv = batch["argv"] + ["--workers", str(workers), "--out", str(out)]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if fsfgw.cli.main(argv) != 0:
+                        sys.exit(f"batch {b}: redistrict cluster failed with {workers} workers")
+            for name in ("plan_distances.csv", "dendrogram.json"):
+                data = [(out / name).read_bytes() for out in outs]
+                if data[0] != data[1]:
+                    sys.exit(f"batch {b}: --workers 1 and 2 wrote different {name}")
+                h.update(data[0])
 print(h.hexdigest())

@@ -48,7 +48,6 @@ from .pipelines import (
     load_plan_csv,
     load_precinct_graph,
     load_structured_object,
-    pair_matrix,
     pairwise_distance_matrix,
     roc_sweep,
     separation_metric,
@@ -379,15 +378,6 @@ def cmd_redistrict_compare(args) -> int:
     return 0
 
 
-def _plan_pair(i, j, plan_p, plan_q, cache):
-    # compare_plans is looked up in this module at call time, where
-    # perfbench's tracer wraps it.  The record is this pair's share of the
-    # cache counts; a pool task works on its own copy of the cache.
-    before = cache.counts.copy()
-    distance = compare_plans(cache.graph, plan_p, plan_q, cache.config, cache).total_distance
-    return distance, cache.counts - before
-
-
 def _plan_matrix(args):
     """Load the map and plans, compare every plan pair, and write
     plan_distances.csv and the manifest; returns the output directory and
@@ -397,8 +387,15 @@ def _plan_matrix(args):
     if len(plans) < 2:
         raise InvalidConfig("need at least two plans for a distance matrix")
     config = _config_from_args(args)
-    D, counts = pair_matrix(_plan_pair, plans, PlanCache(graph, config), args.workers)
-    logger.info("built %d of %d districts and ran %d of %d solves", *np.sum(counts, axis=0))
+    cache = PlanCache(graph, config, plans, args.workers)
+    logger.info("built %d of %d districts and ran %d of %d solves", *cache.counts)
+    # One compare_plans call per plan pair, looked up here, where perfbench's tracer wraps it.
+    N = len(plans)
+    D = np.zeros((N, N))
+    for i in range(N):
+        for j in range(i + 1, N):
+            comparison = compare_plans(graph, plans[i], plans[j], config, cache)
+            D[i, j] = D[j, i] = comparison.total_distance
     out = _out_dir(args)
     _write_matrix(out / "plan_distances.csv", [p.plan_id for p in plans], D)
     _write_manifest(

@@ -7,10 +7,11 @@ between the two objects.  Redistricting plans are compared district by
 district after an exact minimum-Hamming assignment, with population-
 normalized measures and hop-count geodesics inside each district.
 
-Every distance matrix, over objects (``pairwise_distance_matrix``) or over
-plans (the CLI's ``redistrict matrix`` and ``cluster``), runs through
-``pair_matrix``: one task per unordered pair, optionally in a process pool,
-reduced in fixed pair order so pool and serial runs give identical bits.
+Redistricting settles its solves in a ``PlanCache`` (one per distinct
+district pair of the plans compared) before ``compare_plans`` reads them.
+Those solves and the pairs of ``pairwise_distance_matrix`` run in
+``_ordered_map``, the one process pool, which returns results in task
+order, so pool and serial runs give identical bits.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "RocSweep",
     "roc_sweep",
     "PairRecord",
-    "pair_matrix",
     "pairwise_distance_matrix",
     "Merge",
     "complete_linkage_cluster",
@@ -177,15 +177,20 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "d", "k"):
+            try:
+                object.__setattr__(self, name, _node_count(getattr(self, name)))
+            except TypeError as exc:
+                raise InvalidConfig(f"{name}: {exc}") from None
         if self.n < 2:
             raise InvalidConfig(f"n must be >= 2, got {self.n}")
         if self.d < 1:
             raise InvalidConfig(f"d must be >= 1, got {self.d}")
         if not (0 <= self.k <= self.d):
             raise InvalidConfig(f"k must lie in [0, d], got {self.k}")
-        if self.delta < 0.0:
-            raise InvalidConfig(f"delta must be >= 0, got {self.delta}")
-        if self.geo_radius <= 0.0:
+        if not (np.isfinite(self.delta) and self.delta >= 0.0):
+            raise InvalidConfig(f"delta must be finite and >= 0, got {self.delta}")
+        if not (self.geo_radius > 0.0):
             raise InvalidConfig(f"geo_radius must be > 0, got {self.geo_radius}")
 
 
@@ -344,40 +349,18 @@ class PairRecord(NamedTuple):
     result: SolveResult
 
 
-def pair_matrix(task, items: Sequence, context, workers: int = 1):
-    """Apply ``task`` to every unordered pair of ``items``.
-
-    ``task(i, j, items[i], items[j], context)`` runs for each i < j in
-    row-major order and returns ``(distance, record)``.  With more than one
-    worker and more than one pair, the pairs run in min(workers, pairs)
-    processes, so ``task`` must be a picklable module-level function.
-    Results are reduced in pair order, so a pool run is bit-identical to a
-    serial run.  Returns the symmetric distance matrix (zero diagonal) and
-    the records in pair order.
-    """
+def _ordered_map(task, args: list[tuple], workers: int) -> list:
+    """``[task(*a) for a in args]``, run in min(workers, len(args))
+    processes when that is more than one, so ``task`` must then be a
+    picklable module-level function."""
 
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    items = list(items)
-    N = len(items)
-    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
-    args = (
-        [i for i, _ in pairs],
-        [j for _, j in pairs],
-        [items[i] for i, _ in pairs],
-        [items[j] for _, j in pairs],
-        [context] * len(pairs),
-    )
-    workers = min(workers, len(pairs))
+    workers = min(workers, len(args))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, *args))
-    else:
-        results = list(map(task, *args))
-    D = np.zeros((N, N))
-    for (i, j), (distance, _) in zip(pairs, results):
-        D[i, j] = D[j, i] = distance
-    return D, [record for _, record in results]
+            return list(pool.map(task, *zip(*args)))
+    return [task(*a) for a in args]
 
 
 def _solve_pair(i, j, x, y, config):
@@ -385,7 +368,7 @@ def _solve_pair(i, j, x, y, config):
         result = solve_fsfgw(x, y, config)
     except FsfgwError as exc:
         raise PairwiseSolveError(f"pair ({i}, {j}) failed: {exc}") from exc
-    return result.objective, PairRecord(i, j, result)
+    return PairRecord(i, j, result)
 
 
 def pairwise_distance_matrix(
@@ -394,9 +377,17 @@ def pairwise_distance_matrix(
     workers: int = 1,
 ) -> tuple[np.ndarray, list[PairRecord]]:
     """Symmetric matrix of solve objectives over all unordered pairs, with
-    one record per pair; ``workers`` as in ``pair_matrix``."""
+    one record per pair (i < j, row-major).  The pairs run through
+    ``_ordered_map`` with ``workers``, so a pool run is bit-identical to a
+    serial run."""
 
-    return pair_matrix(_solve_pair, objects, config, workers)
+    N = len(objects)
+    tasks = [(i, j, objects[i], objects[j], config) for i in range(N) for j in range(i + 1, N)]
+    records = _ordered_map(_solve_pair, tasks, workers)
+    D = np.zeros((N, N))
+    for i, j, result in records:
+        D[i, j] = D[j, i] = result.objective
+    return D, records
 
 
 class Merge(NamedTuple):
@@ -624,38 +615,54 @@ class PlanComparison:
         }
 
 
+def _district_key(plan: RedistrictingPlan, label: int) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(plan.assignment == label).tolist())
+
+
+def _solve_districts(x, y, config):
+    # The pool task: it looks solve_fsfgw up here, where perfbench's tracer wraps it.
+    return solve_fsfgw(x, y, config)
+
+
 class PlanCache:
-    """Districts, keyed on their sorted precinct indices, and district-pair
-    solves of one command on one graph and config.  ``counts`` holds the
-    districts built and asked for, then the solves run and asked for."""
+    """Every solve that comparing ``plans`` needs, settled at construction:
+    each plan pair (i < j, row-major) is matched, each district (keyed on
+    its sorted precinct indices) built once and each unordered district pair
+    solved once, in first-seen order and orientation, through
+    ``_ordered_map`` with ``workers``.  ``counts`` holds the districts built
+    and asked for, then the solves run and asked for."""
 
-    def __init__(self, graph: PrecinctGraph, config: FsFgwConfig) -> None:
+    def __init__(self, graph: PrecinctGraph, config: FsFgwConfig,
+                 plans: Sequence[RedistrictingPlan], workers: int = 1) -> None:
         self.graph, self.config = graph, config
-        self.districts: dict[tuple[int, ...], StructuredObject] = {}
-        self.results: dict[tuple[tuple[int, ...], tuple[int, ...]], SolveResult] = {}
-        self.counts = np.zeros(4, dtype=np.int64)
+        districts, first, matched = {}, {}, []  # first: unordered pair -> first orientation
+        for i, plan_p in enumerate(plans):
+            for plan_q in plans[i + 1 :]:
+                for label_p, label_q in match_districts(plan_p, plan_q):
+                    keys = _district_key(plan_p, label_p), _district_key(plan_q, label_q)
+                    for key in keys:
+                        if key not in districts:
+                            districts[key] = district_object(graph, key)
+                    pair = frozenset(keys)
+                    matched.append((label_p, label_q, pair, pair in first))
+                    first.setdefault(pair, keys)
+        tasks = [(districts[kp], districts[kq], config) for kp, kq in first.values()]
+        self.results = dict(zip(first.values(), _ordered_map(_solve_districts, tasks, workers)))
+        for label_p, label_q, pair, reused in matched:
+            logger.info("district pair (%d, %d): objective %.6g, %s", label_p, label_q,
+                        self.results[first[pair]].objective, "reused" if reused else "solved")
+        self.counts = (len(districts), 2 * len(matched), len(first), len(matched))
 
-    def district(self, plan: RedistrictingPlan, label: int) -> tuple[int, ...]:
-        key = tuple(np.flatnonzero(plan.assignment == label).tolist())
-        self.counts[1] += 1
-        if key not in self.districts:
-            self.counts[0] += 1
-            self.districts[key] = district_object(self.graph, key)
-        return key
-
-    def solve(self, kp: tuple[int, ...], kq: tuple[int, ...]) -> tuple[SolveResult, bool]:
-        """The result for districts (kp, kq) and whether it was solved now."""
-        self.counts[3] += 1
+    def result(self, kp: tuple[int, ...], kq: tuple[int, ...]) -> SolveResult:
+        """The solve of districts (kp, kq); a pair held the other way round
+        comes back with its plan transposed."""
         if (kp, kq) in self.results:
-            return self.results[kp, kq], False
-        if (kq, kp) in self.results:
-            r = self.results[kq, kp]
-            plan = TransportPlan(r.plan.T.T, r.plan.col_marginal, r.plan.row_marginal)
-            return replace(r, plan=plan), False
-        self.counts[2] += 1
-        x, y = self.districts[kp], self.districts[kq]
-        self.results[kp, kq] = solve_fsfgw(x, y, self.config)
-        return self.results[kp, kq], True
+            return self.results[kp, kq]
+        if (kq, kp) not in self.results:
+            raise InvalidConfig("the plan cache was not built from these plans")
+        r = self.results[kq, kp]
+        plan = TransportPlan(r.plan.T.T, r.plan.col_marginal, r.plan.row_marginal)
+        return replace(r, plan=plan)
 
 
 def compare_plans(
@@ -665,33 +672,26 @@ def compare_plans(
     config: FsFgwConfig,
     cache: PlanCache | None = None,
 ) -> PlanComparison:
-    """Solve one suppression-transport problem per matched district pair.
+    """Read one suppression-transport solve per matched district pair.
 
     Both plans must cover the graph's precinct universe.  The total
     distance is the sum of matched-pair objectives; the weight matrix
     stacks each pair's suppression weights (one row per matched pair, in
-    matching order).  Districts and solves come from ``cache``, shared by
-    the comparisons of one command, or from a fresh one.  It holds at most
-    one object per distinct district and one result per distinct unordered
-    matched pair; a swapped hit returns the stored result with its plan
-    transposed, the same bits as a new solve (see ``solve_fsfgw``).
+    matching order).  The solves come from ``cache``, built from both
+    plans on this graph and config, or from a new ``PlanCache`` of the two;
+    a swapped hit has its plan transposed, the same bits as a new solve.
     """
 
     if plan_p.P != graph.P or plan_q.P != graph.P:
         raise PrecinctUniverseMismatch(
             f"plans cover {plan_p.P}/{plan_q.P} precincts, graph has {graph.P}"
         )
-    cache = cache or PlanCache(graph, config)
+    cache = cache or PlanCache(graph, config, (plan_p, plan_q))
     if cache.graph is not graph or cache.config != config:
         raise InvalidConfig("the plan cache belongs to another graph or config")
     matching = match_districts(plan_p, plan_q)
-    results = []
-    for label_p, label_q in matching:
-        kp, kq = cache.district(plan_p, label_p), cache.district(plan_q, label_q)
-        result, ran = cache.solve(kp, kq)
-        results.append(result)
-        logger.info("district pair (%d, %d): objective %.6g, %s", label_p, label_q,
-                    result.objective, "solved" if ran else "reused")
+    results = [cache.result(_district_key(plan_p, lp), _district_key(plan_q, lq))
+               for lp, lq in matching]
     weight_matrix = np.array([r.weights.w for r in results])
     return PlanComparison(
         matching=tuple(matching),
@@ -777,7 +777,9 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
     for key, arr in (("C", C), ("a", a), ("X", X)):
         if arr.shape[:1] != (n,):
             raise InvalidObjectFile(f"{where}: n is {n} but {key!r} has shape {arr.shape}")
-    names = field("feature_names", tuple) if doc.get("feature_names") is not None else None
+    names = doc.get("feature_names")
+    if names is not None and not isinstance(names, list):
+        raise InvalidObjectFile(f"{where}: 'feature_names' must be a list, got {names!r}")
     return StructuredObject(C=C, a=a, X=X, feature_names=names)
 
 

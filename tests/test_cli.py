@@ -310,6 +310,14 @@ class TestSyntheticCommands:
         lines = read_csv_lines(out / "sweep.csv")
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
+    @pytest.mark.parametrize("flag, field", [("--radius", "geo_radius"), ("--delta", "delta")])
+    def test_invalid_spec_is_a_validation_error(self, tmp_path, capsys, flag, field):
+        code = main(["synthetic", "recover", flag, "nan", "--out", str(tmp_path / "o")])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"] == "InvalidConfig"
+        assert field in doc["message"]
+
     def test_bad_mode_list(self, tmp_path, capsys):
         code = main(
             ["synthetic", "delta-sweep", "--modes", "lasso,bogus",
@@ -461,7 +469,7 @@ class TestRedistrictCommands:
         assert doc["error"] == "InvalidObjectFile"
         assert bad_file in doc["message"]
 
-    def test_pool_is_capped_at_the_plan_pairs(self, tmp_path, capsys, pool_sizes):
+    def test_pool_is_capped_at_the_distinct_solves(self, tmp_path, capsys, pool_sizes):
         nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
         code = main(
             ["redistrict", "matrix", str(nodes), str(edges), str(plan_p), str(plan_q),
@@ -469,7 +477,8 @@ class TestRedistrictCommands:
         )
         assert code == 0
         capsys.readouterr()
-        assert pool_sizes == [3]
+        # Three plan pairs, nine matched district pairs, five distinct ones.
+        assert pool_sizes == [5]
 
     def test_compare_identical_plans(self, tmp_path, capsys):
         nodes, edges, plan_p, _ = write_grid_fixture(tmp_path)
@@ -625,6 +634,19 @@ class TestRedistrictCommands:
         assert lines[-1] == "built 5 of 18 districts and ran 5 of 9 solves"
         assert [line.rsplit(", ", 1)[1] for line in lines[:-1]] == ["solved"] * 3 + [
             "reused", "solved", "solved"] + ["reused"] * 3
+
+    @pytest.mark.parametrize("command", ["matrix", "cluster"])
+    def test_reuse_does_not_depend_on_the_workers(self, tmp_path, capsys, caplog, command):
+        caplog.set_level(logging.INFO, logger="fsfgw")
+        argv = ["redistrict", command, *self.three_plans(tmp_path), "--lambda", "0.2"]
+        summaries = []
+        for workers in ("1", "2"):
+            caplog.clear()
+            assert main(argv + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
+            summaries += [r.getMessage() for r in caplog.records
+                          if r.getMessage().startswith("built ")]
+        capsys.readouterr()
+        assert summaries == ["built 5 of 18 districts and ran 5 of 9 solves"] * 2
 
     def test_matrix_needs_two_plans(self, tmp_path, capsys):
         nodes, edges, plan_p, _ = write_grid_fixture(tmp_path)

@@ -41,7 +41,6 @@ from fsfgw.pipelines import (
     load_precinct_graph,
     load_structured_object,
     match_districts,
-    pair_matrix,
     pairwise_distance_matrix,
     roc_sweep,
     separation_metric,
@@ -143,6 +142,12 @@ class TestGenerateSyntheticPair:
             SyntheticSpec(k=11, d=10)
         with pytest.raises(InvalidConfig):
             SyntheticSpec(delta=-1.0)
+        for name, value in [("n", 12.5), ("d", 3.0), ("k", True), ("n", "12"),
+                            ("delta", float("nan")), ("delta", float("inf")),
+                            ("geo_radius", float("nan")), ("geo_radius", 0.0)]:
+            with pytest.raises(InvalidConfig, match=name):
+                SyntheticSpec(**{name: value})
+        assert type(SyntheticSpec(n=np.int64(12)).n) is int
 
     def test_planted_features_dominate_unsuppressed_scores(self):
         """At delta=2 the differentiating features cost several times more
@@ -265,7 +270,7 @@ class TestPairwiseDistanceMatrix:
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_are_rejected(self, workers):
         with pytest.raises(InvalidConfig, match="workers must be >= 1"):
-            pair_matrix(pytest.fail, [1, 2, 3], None, workers)
+            pairwise_distance_matrix([pytest.fail] * 3, QUICK, workers)
 
     def test_failures_name_the_pair(self):
         rng = np.random.default_rng(8)
@@ -464,9 +469,10 @@ class TestComparePlans:
         monkeypatch.setattr(
             pipelines, "solve_fsfgw", lambda x, y, c: solved.append(1) or solve(x, y, c)
         )
-        cache = PlanCache(graph, QUICK)
-        # District 1 is the same in both plans, so every comparison matches
-        # it with itself; (q, p) meets districts 2 and 3 swapped.
+        # The plan pairs of [p, q, p] are (p, q), (p, p) and (q, p).  District
+        # 1 is the same in both plans, so every comparison matches it with
+        # itself; (q, p) meets districts 2 and 3 swapped.
+        cache = PlanCache(graph, QUICK, [plan_p, plan_q, plan_p])
         runs = [(plan_p, plan_q), (plan_q, plan_p), (plan_p, plan_p)]
         pq, qp, _ = [compare_plans(graph, a, b, QUICK, cache) for a, b in runs]
 
@@ -482,7 +488,7 @@ class TestComparePlans:
         assert (len(districts), len(pairs)) == (5, 5)
         assert sorted(built) == sorted(districts)
         assert len(solved) == len(pairs)
-        assert cache.counts.tolist() == [5, 18, 5, 9]
+        assert list(cache.counts) == [5, 18, 5, 9]
 
         x, y = district_object(graph, key(plan_q, 2)), district_object(graph, key(plan_p, 2))
         direct = solve(x, y, QUICK)
@@ -500,8 +506,15 @@ class TestComparePlans:
 
     def test_cache_of_another_config_is_rejected(self):
         graph, plan_p, plan_q, _ = band_fixture()
-        cache = PlanCache(graph, FsFgwConfig(mode="lasso", lam=0.1))
+        cache = PlanCache(graph, FsFgwConfig(mode="lasso", lam=0.1), (plan_p, plan_q))
         with pytest.raises(InvalidConfig, match="another graph or config"):
+            compare_plans(graph, plan_p, plan_q, QUICK, cache)
+
+    def test_cache_of_other_plans_is_rejected(self):
+        graph, plan_p, plan_q, _ = band_fixture()
+        # District 1 of p and q is the same, so only pairs 2 and 3 are missing.
+        cache = PlanCache(graph, QUICK, (plan_p, plan_p))
+        with pytest.raises(InvalidConfig, match="not built from these plans"):
             compare_plans(graph, plan_p, plan_q, QUICK, cache)
 
     def test_plan_must_cover_the_graph(self):
@@ -577,6 +590,14 @@ class TestObjectFiles:
                "structure": "geodesic", "X": np.zeros((4, 1)).tolist()}
         with pytest.raises(InvalidObjectFile, match="'X'"):
             load_structured_object(doc)
+
+    def test_feature_names_must_be_a_list(self):
+        doc = {"n": 2, "a": "uniform", "C": np.zeros((2, 2)).tolist(),
+               "X": np.zeros((2, 3)).tolist(), "feature_names": "xyz"}
+        with pytest.raises(InvalidObjectFile, match="feature_names"):
+            load_structured_object(doc)
+        names = load_structured_object({**doc, "feature_names": ["x", "y", "z"]}).feature_names
+        assert names == ("x", "y", "z")
 
     def test_missing_keys(self):
         with pytest.raises(InvalidObjectFile):
