@@ -9,18 +9,19 @@ combination of mode, q in {1, 1.5, 2}, restarts 0-2, uniform or Dirichlet
 measures and, for lasso and ridge, a fixed or a calibrated level.  These
 clouds have 4-11 nodes.  ``--large L`` (default 0) adds L solves of 46-55
 node clouds, large solve j from seed 10,000 + j with the q != 2
-configuration 7j mod 72, so that n m > 2048 and the q != 2 structure
-operator keeps no difference block; uniform measures then have n = m and
+configuration 7j mod 72, so that each q != 2 dense structure-operator
+call runs in several 1 MiB pieces; uniform measures then have n = m and
 take the assignment route.  The
 digest covers each result's plan, weights, scores, terms, level, trace,
 outer iteration count and convergence flag, so two trees that print the
 same digest gave the same bits on every solve.  ``--plans K`` (default 0)
 then runs the first K batches of perfbench's ``redistrict-cluster``
-workload at seed 1 through ``fsfgw.cli.main``, once with ``--workers 1``
-and once with ``--workers 2``, and adds their ``plan_distances.csv`` and
-``dendrogram.json`` to the digest; it exits non-zero if the two worker
-counts write different bytes.  The q = 2 products go through BLAS, so
-compare digests taken on one machine.
+workload at seed 1 through ``fsfgw.cli.main`` with ``--workers`` 1, 2
+and 3 (the calling process plus up to two helper processes), and adds
+the ``plan_distances.csv`` and ``dendrogram.json`` of the serial run to
+the digest; it exits non-zero if any worker count writes different
+bytes.  The q = 2 products go through BLAS, so compare digests taken on
+one machine.
 """
 import argparse, contextlib, hashlib, importlib.util, io, sys, tempfile
 from pathlib import Path
@@ -38,6 +39,7 @@ CONFIGS = [(FsFgwConfig(mode=mode, q=q, restarts=restarts, **level), uniform)
            for mode, levels in LEVELS.items() for level in levels
            for q in (1.0, 1.5, 2.0) for restarts in (0, 1, 2) for uniform in (True, False)]
 LARGE = [(config, uniform) for config, uniform in CONFIGS if config.q != 2.0]
+WORKERS = (1, 2, 3)
 
 
 def cloud(rng, n, uniform, d=6):
@@ -81,16 +83,17 @@ if args.plans > 0:
     with tempfile.TemporaryDirectory() as tmp:
         batches = workloads.WORKLOADS["redistrict-cluster"].prepare(1, Path(tmp), args.plans)
         for b, batch in enumerate(batches):
-            outs = [Path(tmp) / f"out-{b}-{workers}" for workers in (1, 2)]
-            for workers, out in zip((1, 2), outs):
+            outs = {workers: Path(tmp) / f"out-{b}-{workers}" for workers in WORKERS}
+            for workers, out in outs.items():
                 # The later --workers and --out flags override the batch's own.
                 argv = batch["argv"] + ["--workers", str(workers), "--out", str(out)]
                 with contextlib.redirect_stdout(io.StringIO()):
                     if fsfgw.cli.main(argv) != 0:
                         sys.exit(f"batch {b}: redistrict cluster failed with {workers} workers")
             for name in ("plan_distances.csv", "dendrogram.json"):
-                data = [(out / name).read_bytes() for out in outs]
-                if data[0] != data[1]:
-                    sys.exit(f"batch {b}: --workers 1 and 2 wrote different {name}")
-                h.update(data[0])
+                data = {workers: (out / name).read_bytes() for workers, out in outs.items()}
+                for workers in WORKERS[1:]:
+                    if data[workers] != data[1]:
+                        sys.exit(f"batch {b}: --workers 1 and {workers} wrote different {name}")
+                h.update(data[1])
 print(h.hexdigest())

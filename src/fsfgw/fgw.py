@@ -11,11 +11,13 @@ by the ``FgwProblem`` that holds them, and passed to ``gw_value`` and
 q = 2 K factorizes into two marginal-weighted vectors and one bilinear
 term, avoiding the O(n^2 m^2) contraction.
 Other exponents use the direct contraction, only permitted up to
-n * m = 10,000: when (n m)^2 <= 2**22 the operator keeps the whole
-difference block (at most 32 MiB) and applies it with one einsum, which
-makes no BLAS call; larger instances rebuild the block in pieces of at
-most 32 MiB on every call.  ``StructureOperator.sparse`` applies K to an
-LP vertex's at most n + m - 1 nonzeros in O(n m (n + m)), also by einsum.
+n * m = 10,000.  The operator keeps no difference block: each dense call
+builds |C1[i, i'] - C2[j, j']|^q in pieces of at most 2**17 doubles
+(1 MiB) and applies each with an einsum, which makes no BLAS call.
+``StructureOperator.sparse`` applies K to a plan's nnz nonzeros in
+O(n m nnz), also by einsum: O(n m (n + m)) on an LP vertex, whose nnz is
+at most n + m - 1.  At q != 2 ``gw_value`` evaluates <K(T), T> that way,
+on the support of T.
 
 ``FgwProblem`` is the fixed half of the problem, (C1, C2, alpha, q, a, b),
 checked once when it is built, with read-only copies of a and b;
@@ -59,7 +61,8 @@ __all__ = [
 ]
 
 DIRECT_CONTRACTION_CAP = 10_000
-_BLOCK_DOUBLES = 2**22
+_PIECE_DOUBLES = 2**17  # dense contraction
+_BLOCK_DOUBLES = 2**22  # sparse application
 
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_MAX_HALVINGS = 30
@@ -92,31 +95,26 @@ def _distortion(diff: np.ndarray, q: float) -> np.ndarray:
     return diff
 
 
-def _difference_block(C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
-    """The (rows of C1, rows of C2, n, m) block |C1[i, i'] - C2[j, j']|^q."""
-
-    return _distortion(C1[:, None, :, None] - C2[None, :, None, :], q)
-
-
 def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
     """K(T) by blocked direct contraction.
 
     Work is blocked over rows of C1, and over columns of C2 when one row
-    of n * m * m doubles is too large, so that a block holds at most
-    2**22 doubles (32 MiB).
+    of n * m * m doubles is too large, so that a piece of the difference
+    block |C1[i, i'] - C2[j, j']|^q holds at most 2**17 doubles (1 MiB).
+    Each output cell is the same einsum reduction as over the whole block.
     """
 
     n, m = T.shape
     K = np.empty((n, m))
-    rows = max(1, _BLOCK_DOUBLES // (n * m * m))
-    cols = m if n * m * m <= _BLOCK_DOUBLES else _BLOCK_DOUBLES // (n * m)
+    rows = max(1, _PIECE_DOUBLES // (n * m * m))
+    cols = m if n * m * m <= _PIECE_DOUBLES else _PIECE_DOUBLES // (n * m)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
         for c0 in range(0, m, cols):
             c1 = min(m, c0 + cols)
-            diff = _difference_block(C1[r0:r1], C2[c0:c1], q)
+            diff = _distortion(C1[r0:r1, None, :, None] - C2[None, c0:c1, None, :], q)
             K[r0:r1, c0:c1] = np.einsum("bjkl,kl->bj", diff, T)
-            del diff  # free the block before the next one is allocated
+            del diff  # free the piece before the next one is allocated
     return K
 
 
@@ -124,10 +122,9 @@ class StructureOperator:
     """K for fixed (C1, C2, q), built once and applied to any n x m matrix.
 
     q = 2 keeps C1∘C1 and C2∘C2 for the factorized form.  Other exponents
-    keep the whole (n, m, n, m) difference block when (n m)^2 <= 2**22
-    doubles (32 MiB), and apply it with the contraction's own einsum, so
-    no BLAS call is made; larger instances run the blocked contraction on
-    every call.
+    keep no difference block: a dense call runs the blocked contraction
+    in pieces of at most 2**17 doubles (1 MiB), and ``sparse`` applies K
+    to a plan's nonzeros; neither makes a BLAS call.
     """
 
     def __init__(self, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -> None:
@@ -136,7 +133,6 @@ class StructureOperator:
         self.q = q
         n, m = self.C1.shape[0], self.C2.shape[0]
         self.shape = (n, m)
-        self.block = None
         if q == 2.0:
             self.C1_sq = self.C1 * self.C1
             self.C2_sq = self.C2 * self.C2
@@ -144,12 +140,10 @@ class StructureOperator:
             raise InstanceTooLarge(
                 f"direct contraction needs n*m <= {DIRECT_CONTRACTION_CAP}, got {n * m}"
             )
-        elif (n * m) ** 2 <= _BLOCK_DOUBLES:
-            self.block = _difference_block(self.C1, self.C2, q)
 
     def __call__(self, T: np.ndarray) -> np.ndarray:
         """K(T): (C1∘C1) r + (C2∘C2) c - 2 C1 T C2 for q = 2, with r and c
-        the row and column sums of T; the direct contraction otherwise."""
+        the row and column sums of T; the blocked contraction otherwise."""
 
         if self.q == 2.0:
             r = T.sum(axis=1)
@@ -158,8 +152,6 @@ class StructureOperator:
                 (self.C1_sq @ r)[:, None] + (self.C2_sq @ c)[None, :]
                 - 2.0 * (self.C1 @ T @ self.C2)
             )
-        if self.block is not None:
-            return np.einsum("bjkl,kl->bj", self.block, T)
         return _contraction(T, self.C1, self.C2, self.q)
 
     def sparse(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -199,11 +191,19 @@ def gw_value(
 ) -> float:
     """Exact value of the structure-distortion quartic form, <K(T), T> (>= 0).
 
-    ``operator`` is a ``StructureOperator`` for (C1, C2, q) to reuse; a
-    one-shot one is built when it is None."""
+    At q != 2 K(T) is applied to the nonzeros of T only, in O(n m nnz),
+    which an LP vertex keeps at n + m - 1 or fewer.  ``operator`` is a
+    ``StructureOperator`` for (C1, C2, q) to reuse; a one-shot one is
+    built when it is None."""
 
     T, C1, C2 = _checked(T, C1, C2)
-    value = float(np.sum(_operator(T, C1, C2, q, operator)(T) * T))
+    operator = _operator(T, C1, C2, q, operator)
+    if q == 2.0:
+        K = operator(T)
+    else:
+        rows, cols = np.nonzero(T)
+        K = operator.sparse(rows, cols, T[rows, cols])
+    value = float(np.sum(K * T))
     # The form is a sum of nonnegative terms; cancellation in the
     # factorized path may leave a tiny negative residue.
     if -1e-9 < value < 0.0:

@@ -10,8 +10,10 @@ normalized measures and hop-count geodesics inside each district.
 Redistricting settles its solves in a ``PlanCache`` (one per distinct
 district pair of the plans compared) before ``compare_plans`` reads them.
 Those solves and the pairs of ``pairwise_distance_matrix`` run in
-``_ordered_map``, the one process pool, which returns results in task
-order, so pool and serial runs give identical bits.
+``_ordered_map``, the one process pool: with ``workers`` N, the calling
+process and N - 1 helper processes take task indices from one shared
+counter, and the results come back in task order, so pool and serial
+runs give identical bits and raise the same first failure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import multiprocessing.connection
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -192,6 +196,13 @@ class SyntheticSpec:
             raise InvalidConfig(f"delta must be finite and >= 0, got {self.delta}")
         if not (self.geo_radius > 0.0):
             raise InvalidConfig(f"geo_radius must be > 0, got {self.geo_radius}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 def _sample_geometric_graph(rng: np.random.Generator, n: int, radius: float):
@@ -349,18 +360,107 @@ class PairRecord(NamedTuple):
     result: SolveResult
 
 
+def _claim(counter, count: int) -> int | None:
+    """The next unclaimed task index from the shared counter, or None."""
+
+    with counter.get_lock():
+        i = counter.value
+        if i >= count:
+            return None
+        counter.value = i + 1
+        return i
+
+
+def _attempt(task, args, counter, i: int) -> tuple[bool, object]:
+    """(failed, result or exception) of task i; a failure stops all claims,
+    since every task before it has been claimed already."""
+
+    try:
+        return False, task(*args[i])
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = len(args)
+        return True, exc
+
+
+def _helper(task, args, counter, conn) -> None:
+    # One message per task; the helper stops after its first failure.
+    for i in iter(lambda: _claim(counter, len(args)), None):
+        failed, value = _attempt(task, args, counter, i)
+        conn.send((i, failed, value))
+        if failed:
+            break
+    conn.close()
+
+
 def _ordered_map(task, args: list[tuple], workers: int) -> list:
-    """``[task(*a) for a in args]``, run in min(workers, len(args))
-    processes when that is more than one, so ``task`` must then be a
-    picklable module-level function."""
+    """``[task(*a) for a in args]`` in min(workers, len(args)) processes:
+    the calling process and helpers started through ``multiprocessing``,
+    so ``task`` must be picklable under a start method other than fork.
+
+    Every process claims the next task index from one shared counter and
+    each helper sends back (index, failed, result or exception) in one
+    message through its own pipe.  Results come back in task order; the
+    first failure in task order is raised after every helper has been
+    joined, and a task no helper reported raises ``ChildProcessError``
+    naming the exit codes.  Helpers are terminated on any other exception.
+    """
 
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(args))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, *zip(*args)))
-    return [task(*a) for a in args]
+    helpers = min(workers, len(args)) - 1
+    if helpers < 1:
+        return [task(*a) for a in args]
+    counter = multiprocessing.Value("q", 0)
+    outcomes: dict[int, tuple[bool, object]] = {}
+    procs, readers = [], []
+    try:
+        for _ in range(helpers):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_helper, args=(task, args, counter, writer))
+            proc.start()
+            # Only the helper holds its writer, so its reader sees EOF when it exits;
+            # helpers started later never inherit it.
+            writer.close()
+            procs.append(proc)
+            readers.append(reader)
+        for i in iter(lambda: _claim(counter, len(args)), None):
+            outcomes[i] = _attempt(task, args, counter, i)
+            _receive(readers, outcomes, timeout=0)
+        while readers:
+            _receive(readers, outcomes, timeout=None)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        # A helper at EOF may still be running its exit handlers.
+        for proc in procs:
+            proc.join()
+    results = []
+    for i in range(len(args)):
+        if i not in outcomes:
+            codes = sorted({proc.exitcode for proc in procs})
+            raise ChildProcessError(f"task {i} was never reported: helper exit codes {codes}")
+        failed, value = outcomes[i]
+        if failed:
+            raise value
+        results.append(value)
+    return results
+
+
+def _receive(readers: list, outcomes: dict, timeout: float | None) -> None:
+    """Store the messages waiting on ``readers``, waiting up to ``timeout``
+    for the first; a reader at EOF (its helper has exited) is dropped."""
+
+    for reader in multiprocessing.connection.wait(readers, timeout):
+        try:
+            i, failed, value = reader.recv()
+        except EOFError:
+            readers.remove(reader)
+            reader.close()
+        else:
+            outcomes[i] = (failed, value)
 
 
 def _solve_pair(i, j, x, y, config):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import logging
+import multiprocessing
 import shlex
 from pathlib import Path
 
@@ -11,7 +12,6 @@ import pytest
 
 import fsfgw
 import fsfgw.cli
-import fsfgw.pipelines
 import oracles
 from fsfgw.cli import _build_parser, main
 from fsfgw.core import StructuredObject
@@ -378,17 +378,18 @@ class TestPairwiseCommand:
             parallel / "pair_weights.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("count, sizes", [(2, []), (3, [3])])
+    @pytest.mark.parametrize("count, helpers", [(2, 0), (3, 2)])
     def test_pool_is_capped_at_the_pair_count(
-        self, tmp_path, capsys, pool_sizes, count, sizes
+        self, tmp_path, capsys, started_helpers, count, helpers
     ):
         obj_dir = self.make_objects(tmp_path, count)
         code = main(["pairwise", str(obj_dir), "--workers", "64",
                      "--out", str(tmp_path / "o")])
         assert code == 0
         capsys.readouterr()
-        # A single pair is solved in-process; no pool is started for it.
-        assert pool_sizes == sizes
+        # A single pair is solved in-process; no helper is started for it.
+        assert len(started_helpers) == helpers
+        assert multiprocessing.active_children() == []
 
     def test_empty_directory(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -423,27 +424,19 @@ def write_two_precinct_map(
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool by an in-process map that records the
-    requested pool size, so no worker process is started."""
+def started_helpers(monkeypatch):
+    """Record every process the engine starts (the calling process runs
+    tasks too, so N workers start N - 1 helpers)."""
 
-    sizes = []
+    started = []
+    real_start = multiprocessing.Process.start
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting(self):
+        started.append(self)
+        real_start(self)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(fsfgw.pipelines, "ProcessPoolExecutor", InProcessPool)
-    return sizes
+    monkeypatch.setattr(multiprocessing.Process, "start", counting)
+    return started
 
 
 class TestRedistrictCommands:
@@ -469,7 +462,7 @@ class TestRedistrictCommands:
         assert doc["error"] == "InvalidObjectFile"
         assert bad_file in doc["message"]
 
-    def test_pool_is_capped_at_the_distinct_solves(self, tmp_path, capsys, pool_sizes):
+    def test_pool_is_capped_at_the_distinct_solves(self, tmp_path, capsys, started_helpers):
         nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
         code = main(
             ["redistrict", "matrix", str(nodes), str(edges), str(plan_p), str(plan_q),
@@ -477,8 +470,9 @@ class TestRedistrictCommands:
         )
         assert code == 0
         capsys.readouterr()
-        # Three plan pairs, nine matched district pairs, five distinct ones.
-        assert pool_sizes == [5]
+        # Three plan pairs, nine matched district pairs, five distinct ones:
+        # the calling process and four helpers.
+        assert len(started_helpers) == 4
 
     def test_compare_identical_plans(self, tmp_path, capsys):
         nodes, edges, plan_p, _ = write_grid_fixture(tmp_path)

@@ -104,9 +104,9 @@ class TestGwValue:
         assert gw_value(T, C, C, q=2.0) == 0.0
 
     def test_direct_contraction_memory_is_bounded(self):
-        # At n = m = 60 the (rows, m, n, m) difference tensor would take
-        # 104 MB in one piece.  Blocks of at most 2**22 doubles (33.6 MB)
-        # plus the small inputs and outputs must stay under 40 MB.
+        # At n = m = 60 the (n, m, n, m) difference tensor would take
+        # 104 MB in one piece.  Pieces of at most 2**17 doubles (1 MiB)
+        # plus the small inputs and outputs must stay under 4 MB.
         n = 60
         rng = np.random.default_rng(11)
         C1 = oracles.random_structure(rng, n)
@@ -118,16 +118,16 @@ class TestGwValue:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
-        # Cells from the first, a middle and the last block, summed directly.
+        assert peak < 4e6
+        # Cells from the first, a middle and the last piece, summed directly.
         for i, j in ((0, 0), (19, 7), (38, 59), (59, 30)):
             cell = 2.0 * np.sum(np.abs(C1[i][:, None] - C2[j][None, :]) * T)
             assert G[i, j] == pytest.approx(cell, rel=1e-12)
 
     def test_thin_contraction_memory_is_bounded(self):
         # At n = 2, m = 2000 one row of the difference tensor holds
-        # n * m * m = 8e6 doubles (64 MB); blocks over columns of C2 keep
-        # every block at most 2**22 doubles.
+        # n * m * m = 8e6 doubles (64 MB); pieces over columns of C2 keep
+        # every piece at most 2**17 doubles.
         n, m = 2, 2000
         rng = np.random.default_rng(12)
         C1 = oracles.random_structure(rng, n)
@@ -140,7 +140,7 @@ class TestGwValue:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 4e6
         # The unblocked contraction, one full row at a time.
         for i in range(n):
             row = np.einsum("jkl,kl->j", np.abs(C1[i, None, :, None] - C2[:, None, :]), T)
@@ -454,15 +454,15 @@ class TestStructureOperator:
     @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("n, m", [(24, 24), (32, 28), (32, 32), (50, 45)])
     def test_equals_the_blocked_contraction(self, n, m, q):
-        # (32, 32) is the largest square within one 2**22-double block;
-        # (50, 45) lies beyond it and keeps no block.
+        # The operator works in 1 MiB pieces; every cell is the same
+        # einsum reduction as over the whole (n, m, n, m) block.
         rng = np.random.default_rng(n * m)
         C1 = oracles.random_structure(rng, n)
         C2 = oracles.random_structure(rng, m)
         T = rng.normal(size=(n, m))  # any real matrix, as a CG direction
-        op = StructureOperator(C1, C2, q)
-        assert (op.block is None) == ((n * m) ** 2 > 2**22)
-        assert np.array_equal(op(T), fsfgw.fgw._contraction(T, C1, C2, q))
+        block = np.abs(C1[:, None, :, None] - C2[None, :, None, :]) ** q
+        assert np.array_equal(StructureOperator(C1, C2, q)(T),
+                              np.einsum("bjkl,kl->bj", block, T))
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_one_build_per_alternating_solve(self, monkeypatch, q):
@@ -531,10 +531,11 @@ class TestStructureOperator:
         assert peak < 40e6
         np.testing.assert_allclose(K, op(lp.T), rtol=0.0, atol=1e-12)
 
-    def test_alternating_solve_holds_one_block(self):
-        # At n = m = 45 and q = 1 the cached block is 45**4 doubles
-        # (32.8 MB).  A second block alive at any time during the solve,
-        # across outer iterations and restarts, would pass 65 MB.
+    def test_alternating_solve_memory_is_bounded(self):
+        # At n = m = 45 and q = 1 the whole difference block would be
+        # 45**4 doubles (32.8 MB); the operator keeps none, and its 1 MiB
+        # pieces keep the solve, across outer iterations and restarts,
+        # under 4 MB.
         rng = np.random.default_rng(23)
         x, y = point_cloud(rng, 45), point_cloud(rng, 45)
         config = FsFgwConfig(mode="simplex", q=1.0, restarts=1, seed=5)
@@ -545,4 +546,4 @@ class TestStructureOperator:
         finally:
             tracemalloc.stop()
         assert res.outer_iters >= 1
-        assert 45**4 * 8 < peak < 40e6
+        assert peak < 4e6

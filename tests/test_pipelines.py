@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +51,29 @@ from fsfgw.pipelines import (
 )
 
 QUICK = FsFgwConfig(mode="lasso", lam=0.2)
+
+
+def _exit_in_helper(parent: int) -> int:
+    """A task that kills any helper running it; in the calling process it
+    waits until the helper is gone, so the helper claims a task first."""
+    if os.getpid() != parent:
+        os._exit(7)
+    deadline = time.monotonic() + 30.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return parent
+
+
+def _mark(directory, i: int) -> int:
+    with open(directory / str(i), "x"):
+        return i
+
+
+def _interrupt_in_caller(parent: int) -> None:
+    """A task that keeps any helper busy for a minute and interrupts the
+    calling process once the helpers have started theirs."""
+    time.sleep(60.0 if os.getpid() != parent else 0.2)
+    raise KeyboardInterrupt
 
 
 def make_object(rng, n, d):
@@ -144,10 +170,12 @@ class TestGenerateSyntheticPair:
             SyntheticSpec(delta=-1.0)
         for name, value in [("n", 12.5), ("d", 3.0), ("k", True), ("n", "12"),
                             ("delta", float("nan")), ("delta", float("inf")),
-                            ("geo_radius", float("nan")), ("geo_radius", 0.0)]:
+                            ("geo_radius", float("nan")), ("geo_radius", 0.0),
+                            ("seed", -1), ("seed", 1.5)]:
             with pytest.raises(InvalidConfig, match=name):
                 SyntheticSpec(**{name: value})
         assert type(SyntheticSpec(n=np.int64(12)).n) is int
+        assert type(SyntheticSpec(seed=np.int64(3)).seed) is int
 
     def test_planted_features_dominate_unsuppressed_scores(self):
         """At delta=2 the differentiating features cost several times more
@@ -278,6 +306,42 @@ class TestPairwiseDistanceMatrix:
         with pytest.raises(PairwiseSolveError) as err:
             pairwise_distance_matrix(objs, QUICK)
         assert "pair (0, 1)" in str(err.value)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_raises_the_serial_failure(self, workers):
+        # Task 3 of 6 pairs a 3-feature object with a 2-feature one.
+        rng = np.random.default_rng(9)
+        objs = [make_object(rng, 4, 3) for _ in range(6)]
+        tasks = [(k, k + 1, objs[k], objs[k + 1], QUICK) for k in range(5)]
+        tasks.insert(3, (7, 8, objs[0], make_object(rng, 4, 2), QUICK))
+        with pytest.raises(PairwiseSolveError) as serial:
+            pipelines._ordered_map(pipelines._solve_pair, tasks, 1)
+        with pytest.raises(PairwiseSolveError) as pooled:
+            pipelines._ordered_map(pipelines._solve_pair, tasks, workers)
+        assert type(pooled.value) is type(serial.value)
+        assert str(pooled.value) == str(serial.value)
+        assert "pair (7, 8)" in str(pooled.value)
+        assert multiprocessing.active_children() == []
+
+    def test_helper_that_exits_without_reporting_is_named(self):
+        with pytest.raises(ChildProcessError, match=r"exit codes \[7\]"):
+            pipelines._ordered_map(_exit_in_helper, [(os.getpid(),)] * 4, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_more_workers_than_cores_run_each_task_once(self, tmp_path):
+        # A task claimed twice would fail to create its marker file again.
+        workers = min((os.cpu_count() or 1) + 1, 16)
+        results = pipelines._ordered_map(_mark, [(tmp_path, i) for i in range(64)], workers)
+        assert results == list(range(64))
+        assert len(list(tmp_path.iterdir())) == 64
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_terminates_the_helpers(self):
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            pipelines._ordered_map(_interrupt_in_caller, [(os.getpid(),)] * 4, 3)
+        assert time.monotonic() - start < 30.0
+        assert multiprocessing.active_children() == []
 
 
 class TestCompleteLinkage:
