@@ -63,6 +63,7 @@ _SOLVER_ERRORS = (
     InstanceTooLarge,
     DisconnectedAfterRetries,
     PairwiseSolveError,
+    ChildProcessError,  # a pool helper exited without reporting its task
 )
 
 

@@ -437,6 +437,8 @@ def _ordered_map(task, args: list[tuple], workers: int) -> list:
         # A helper at EOF may still be running its exit handlers.
         for proc in procs:
             proc.join()
+        for reader in readers:
+            reader.close()
     results = []
     for i in range(len(args)):
         if i not in outcomes:

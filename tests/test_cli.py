@@ -4,7 +4,9 @@ import importlib.util
 import json
 import logging
 import multiprocessing
+import os
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +364,27 @@ class TestPairwiseCommand:
         wlines = read_csv_lines(out / "pair_weights.csv")
         assert wlines[0] == "id_a,id_b,f0,f1,f2"
         assert len(wlines) == 4
+
+    def test_a_lost_helper_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
+        parent, solve = os.getpid(), fsfgw.pipelines.solve_fsfgw
+
+        def exit_in_helper(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            deadline = time.monotonic() + 30.0  # let the helper claim a task first
+            while multiprocessing.active_children() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return solve(*args)
+
+        monkeypatch.setattr(fsfgw.pipelines, "solve_fsfgw", exit_in_helper)
+        obj_dir = self.make_objects(tmp_path, 4)
+        code = main(["pairwise", str(obj_dir), "--workers", "2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"] == "ChildProcessError"
+        assert "[9]" in doc["message"]
+        assert multiprocessing.active_children() == []
 
     def test_workers_do_not_change_the_output(self, tmp_path, capsys):
         obj_dir = self.make_objects(tmp_path)
