@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over the outputs of a fixed set of solves.
 
-    PYTHONPATH=src python3 scripts/solve_digest.py [--count N] [--large L] [--plans K]
+    PYTHONPATH=src python3 scripts/solve_digest.py [--count N] [--large L]
+        [--synth S] [--plans K]
 
 Solve k (k = 0..N-1, N = 720 unless ``--count`` sets it) draws a pair of
 point clouds from seed k and solves it with configuration k mod 108: every
@@ -11,17 +12,22 @@ clouds have 4-11 nodes.  ``--large L`` (default 0) adds L solves of 46-55
 node clouds, large solve j from seed 10,000 + j with the q != 2
 configuration 7j mod 72, so that each q != 2 dense structure-operator
 call runs in several 1 MiB pieces; uniform measures then have n = m and
-take the assignment route.  The
+take the assignment route.  ``--synth S`` (default 0) then adds the
+solves of the first S batches of perfbench's ``synth-uniform`` workload
+at seed 1, with its configuration: 50-node pairs with 20 features and
+uniform measures, which take the assignment route.  Their pairs come in
+both orders (26 of the 48 pairs of all 12 batches are solved swapped),
+so their feature-cost stacks are built in both orientations.  The
 digest covers each result's plan, weights, scores, terms, level, trace,
 outer iteration count and convergence flag, so two trees that print the
 same digest gave the same bits on every solve.  ``--plans K`` (default 0)
 then runs the first K batches of perfbench's ``redistrict-cluster``
 workload at seed 1 through ``fsfgw.cli.main`` with ``--workers`` 1, 2
-and 3 (the calling process plus up to two helper processes), and adds
-the ``plan_distances.csv`` and ``dendrogram.json`` of the serial run to
-the digest; it exits non-zero if any worker count writes different
-bytes.  The q = 2 products go through BLAS, so compare digests taken on
-one machine.
+and 3 (the calling process plus up to two helper processes, no more
+than the usable CPUs), and adds the ``plan_distances.csv`` and
+``dendrogram.json`` of the serial run to the digest; it exits non-zero
+if any worker count writes different bytes.  The q = 2 products go
+through BLAS, so compare digests taken on one machine.
 """
 import argparse, contextlib, hashlib, importlib.util, io, sys, tempfile
 from pathlib import Path
@@ -66,22 +72,39 @@ def pairs(count, large):
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--count", type=int, default=720)
 parser.add_argument("--large", type=int, default=0)
+parser.add_argument("--synth", type=int, default=0)
 parser.add_argument("--plans", type=int, default=0)
 args = parser.parse_args()
 h = hashlib.sha256()
-for x, y, config in pairs(args.count, args.large):
-    r = solve_fsfgw(x, y, config)
+
+
+def add(r):
     scalars = (r.objective, r.feature_term, r.gw_term, r.reg_term, r.lambda_used,
                r.outer_iters, r.converged)
     for arr in (r.plan.T, r.weights.w, r.scores, np.array(r.trace), np.array(scalars)):
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-if args.plans > 0:
+
+
+def perfbench_workload(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name]
+
+
+for x, y, config in pairs(args.count, args.large):
+    add(solve_fsfgw(x, y, config))
+if args.synth > 0:
+    synth = perfbench_workload("synth-uniform")
     with tempfile.TemporaryDirectory() as tmp:
-        batches = workloads.WORKLOADS["redistrict-cluster"].prepare(1, Path(tmp), args.plans)
+        for batch in synth.prepare(1, Path(tmp), args.synth):
+            for x, y in batch:
+                add(solve_fsfgw(x, y, synth.config))
+if args.plans > 0:
+    cluster = perfbench_workload("redistrict-cluster")
+    with tempfile.TemporaryDirectory() as tmp:
+        batches = cluster.prepare(1, Path(tmp), args.plans)
         for b, batch in enumerate(batches):
             outs = {workers: Path(tmp) / f"out-{b}-{workers}" for workers in WORKERS}
             for workers, out in outs.items():

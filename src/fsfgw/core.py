@@ -433,7 +433,9 @@ def feature_cost_stack(
 
     With ``norm="per_feature"`` each matrix is rescaled so its maximum
     entry is 1; all-zero matrices are left untouched.  ``norm="none"``
-    keeps the raw costs.  Returns a read-only array of shape (d, n, m).
+    keeps the raw costs.  Returns a read-only array of shape (d, n, m),
+    built in one pass: the differences of the features' contiguous rows,
+    then ``abs``, the power and the rescaling in place.
     """
 
     validate_pair(x, y)
@@ -441,13 +443,14 @@ def feature_cost_stack(
         raise InvalidConfig(f"q must be >= 1, got {q}")
     if norm not in FEATURE_NORMS:
         raise InvalidConfig(f"norm must be one of {FEATURE_NORMS}, got {norm!r}")
-    diff = np.abs(x.X[:, None, :] - y.X[None, :, :])
-    stack = np.transpose(diff**q, (2, 0, 1)).copy()
+    xt = np.ascontiguousarray(x.X.T)
+    yt = np.ascontiguousarray(y.X.T)
+    stack = np.subtract(xt[:, :, None], yt[:, None, :])
+    np.abs(stack, out=stack)
+    stack **= q
     if norm == "per_feature":
-        for r in range(x.d):
-            mx = stack[r].max(initial=0.0)
-            if mx > 0.0:
-                stack[r] /= mx
+        mx = stack.max(axis=(1, 2), initial=0.0)[:, None, None]
+        np.divide(stack, mx, out=stack, where=mx > 0.0)
     stack.setflags(write=False)
     return stack
 

@@ -13,7 +13,8 @@ term, avoiding the O(n^2 m^2) contraction.
 Other exponents use the direct contraction, only permitted up to
 n * m = 10,000.  The operator keeps no difference block: each dense call
 builds |C1[i, i'] - C2[j, j']|^q in pieces of at most 2**17 doubles
-(1 MiB) and applies each with an einsum, which makes no BLAS call.
+(1 MiB), each filled from two tiles of C1 and C2 of at most 1 MiB, and
+applies each with an einsum, which makes no BLAS call.
 ``StructureOperator.sparse`` applies K to a plan's nnz nonzeros in
 O(n m nnz), also by einsum: O(n m (n + m)) on an LP vertex, whose nnz is
 at most n + m - 1.  At q != 2 ``gw_value`` evaluates <K(T), T> that way,
@@ -101,20 +102,28 @@ def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.
     Work is blocked over rows of C1, and over columns of C2 when one row
     of n * m * m doubles is too large, so that a piece of the difference
     block |C1[i, i'] - C2[j, j']|^q holds at most 2**17 doubles (1 MiB).
-    Each output cell is the same einsum reduction as over the whole block.
+    Each piece is filled, in one reused buffer, from two tiles of at most
+    1 MiB each: the piece's rows of C1 with every entry repeated m times
+    and its columns of C2 tiled n times, so the subtraction runs over rows
+    of n * m contiguous doubles.  Each output cell is the same einsum
+    reduction as over the whole block.
     """
 
     n, m = T.shape
     K = np.empty((n, m))
-    rows = max(1, _PIECE_DOUBLES // (n * m * m))
+    rows = min(n, max(1, _PIECE_DOUBLES // (n * m * m)))
     cols = m if n * m * m <= _PIECE_DOUBLES else _PIECE_DOUBLES // (n * m)
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        for c0 in range(0, m, cols):
-            c1 = min(m, c0 + cols)
-            diff = _distortion(C1[r0:r1, None, :, None] - C2[None, c0:c1, None, :], q)
+    buf = np.empty(rows * cols * n * m)
+    for c0 in range(0, m, cols):
+        c1 = min(m, c0 + cols)
+        right = np.tile(C2[c0:c1], (1, n))  # right[j, k m + l] = C2[c0 + j, l]
+        for r0 in range(0, n, rows):
+            r1 = min(n, r0 + rows)
+            left = np.repeat(C1[r0:r1], m, axis=1)  # left[b, k m + l] = C1[r0 + b, k]
+            piece = buf[: (r1 - r0) * (c1 - c0) * n * m].reshape(r1 - r0, c1 - c0, n * m)
+            np.subtract(left[:, None, :], right[None, :, :], out=piece)
+            diff = _distortion(piece, q).reshape(r1 - r0, c1 - c0, n, m)
             K[r0:r1, c0:c1] = np.einsum("bjkl,kl->bj", diff, T)
-            del diff  # free the piece before the next one is allocated
     return K
 
 
@@ -123,8 +132,9 @@ class StructureOperator:
 
     q = 2 keeps C1∘C1 and C2∘C2 for the factorized form.  Other exponents
     keep no difference block: a dense call runs the blocked contraction
-    in pieces of at most 2**17 doubles (1 MiB), and ``sparse`` applies K
-    to a plan's nonzeros; neither makes a BLAS call.
+    in pieces of at most 2**17 doubles (1 MiB), filled from two tiles of
+    at most 1 MiB, and ``sparse`` applies K to a plan's nonzeros; neither
+    makes a BLAS call.
     """
 
     def __init__(self, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -> None:
@@ -322,7 +332,7 @@ def solve_fgw(
     plan by accumulated rounding.
 
     Each LP starts from the basis the previous one returned, the first
-    from ``basis`` (an ``FgwSolve.basis`` for the same marginals) or cold.
+    from ``basis`` (an ``FgwSolve.basis`` of a solve on this problem) or cold.
     The result is a function of (problem, M_eff, init, basis, gradient): on
     degenerate gradients a warm LP may pick a different optimal vertex than
     a cold one, so the CG path can differ from a cold one's while every LP

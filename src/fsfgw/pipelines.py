@@ -11,9 +11,10 @@ Redistricting settles its solves in a ``PlanCache`` (one per distinct
 district pair of the plans compared) before ``compare_plans`` reads them.
 Those solves and the pairs of ``pairwise_distance_matrix`` run in
 ``_ordered_map``, the one process pool: with ``workers`` N, the calling
-process and N - 1 helper processes take task indices from one shared
-counter, and the results come back in task order, so pool and serial
-runs give identical bits and raise the same first failure.
+process and N - 1 helper processes, no more than the usable CPUs, take
+task indices from one shared counter, and the results come back in task
+order, so pool and serial runs give identical bits and raise the same
+first failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import logging
 import multiprocessing
 import multiprocessing.connection
 import operator
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -394,9 +396,11 @@ def _helper(task, args, counter, conn) -> None:
 
 
 def _ordered_map(task, args: list[tuple], workers: int) -> list:
-    """``[task(*a) for a in args]`` in min(workers, len(args)) processes:
-    the calling process and helpers started through ``multiprocessing``,
-    so ``task`` must be picklable under a start method other than fork.
+    """``[task(*a) for a in args]`` in min(workers, len(args), usable CPUs)
+    processes: the calling process and helpers started through
+    ``multiprocessing``, so ``task`` must be picklable under a start
+    method other than fork.  The usable CPUs are this process's affinity
+    set, or the CPU count where the platform has none.
 
     Every process claims the next task index from one shared counter and
     each helper sends back (index, failed, result or exception) in one
@@ -408,7 +412,11 @@ def _ordered_map(task, args: list[tuple], workers: int) -> list:
 
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    helpers = min(workers, len(args)) - 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if min(workers, len(args)) > cpus:
+        logger.info("%d workers capped at %d usable CPUs", workers, cpus)
+    helpers = min(workers, len(args), cpus) - 1
     if helpers < 1:
         return [task(*a) for a in args]
     counter = multiprocessing.Value("q", 0)

@@ -202,9 +202,13 @@ def _solve_once(
 def _canonical_flip(x: StructuredObject, y: StructuredObject) -> bool:
     """Whether (x, y) is the other orientation of the canonical pair: the
     smaller object first, then the smaller byte content of (C, a, X).
-    Ties (identical byte content) leave the order as given.
+    Ties (identical byte content) leave the order as given, and so does a
+    pair that ``feature_cost_stack`` will reject, so that its error names
+    the arguments in the caller's order.
     """
 
+    if not (isinstance(x, StructuredObject) and isinstance(y, StructuredObject)) or x.d != y.d:
+        return False
     if x.n != y.n:
         return x.n > y.n
     key_x = (x.C.tobytes(), x.a.tobytes(), x.X.tobytes())
@@ -230,16 +234,17 @@ def solve_fsfgw(
     objective wins.
 
     Argument symmetry: every pair is solved in one canonical orientation,
-    so the objective, terms, weights, scores, level and trace of (x, y)
-    are the same bits as those of (y, x), and the plan is the transpose.
+    with its feature-cost stack built in that orientation, so the
+    objective, terms, weights, scores, level and trace of (x, y) are the
+    same bits as those of (y, x), and the plan is the transpose.
     """
 
-    # feature_cost_stack validates the pair.  Its cost |x_r - y_r|^q is
-    # exactly symmetric, so the transposed stack is the canonical one.
-    stack = feature_cost_stack(x, y, q=config.q, norm=config.feature_norm)
     flip = _canonical_flip(x, y)
     if flip:
-        x, y, stack = y, x, np.ascontiguousarray(stack.transpose(0, 2, 1))
+        x, y = y, x
+    # feature_cost_stack validates the pair.  Its cost |x_r - y_r|^q is
+    # exactly symmetric, so this stack is the transpose of the caller's.
+    stack = feature_cost_stack(x, y, q=config.q, norm=config.feature_norm)
     # C1, C2, alpha, q and the marginals are fixed for every outer
     # iteration and restart: checked, with K built, once.
     problem = FgwProblem(C1=x.C, C2=y.C, alpha=config.alpha, q=config.q, a=x.a, b=y.a)

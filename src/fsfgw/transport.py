@@ -15,28 +15,28 @@ input:
   entering rule switches to Bland's lowest-index rule so termination is
   guaranteed.  A cold start is the least-cost basis: cells are filled
   cheapest first, cost ties broken on the lowest flat index.  A warm
-  start is a basis that an earlier call returned for the same marginals:
-  a feasible basis stays feasible when only the cost changes, so a warm
-  start skips the pivots that the cost change left in place (Ahuja,
-  Magnanti & Orlin 1993, *Network Flows*, ch. 11).  After each pivot only
-  the subtree that the leaving arc cuts off is re-hung and gets new
-  potentials.
+  start is a basis that an earlier call returned for the same marginal
+  arrays: a feasible basis stays feasible when only the cost changes, so
+  a warm start skips the pivots that the cost change left in place
+  (Ahuja, Magnanti & Orlin 1993, *Network Flows*, ch. 11), and keeps its
+  spanning tree.  After each pivot only the subtree that the leaving arc
+  cuts off is re-hung and gets new potentials.
 
 Determinism: the plan is a function of (cost, a, b, basis), and a cold
 start is a function of (cost, a, b).  When costs are degenerate, which
 optimal vertex that is depends on the route and on the starting basis,
 but every one has the same value.  The simplex breaks ties on the lowest
 flat cell index, so a warm start may stop at a different optimal vertex
-than a cold start; the assignment route ignores any basis and returns
-whichever permutation ``linear_sum_assignment`` picks, which is fixed for
-a given cost but follows no index rule.
+than a cold start; the assignment route returns whichever permutation
+``linear_sum_assignment`` picks, which is fixed for a given cost but
+follows no index rule.
 
-``solve_emd`` checks its input on every call: a finite cost, nonnegative
-marginals of equal mass, and a basis that carries them on a spanning
-tree; only a basis it returned for the very same read-only marginal
-arrays is trusted, and keeps its tree.  ``LpSolution.T`` is the solver's
-own read-only array, on the marginals by construction, and is not
-checked again.
+``solve_emd`` checks a finite cost on every call.  A cold call checks
+its marginals: nonnegative, of equal mass.  A warm call accepts only a
+basis that it returned for these very read-only marginal arrays, which
+are therefore still the marginals that call checked; anything else
+raises ``InvalidBasis``.  ``LpSolution.T`` is the solver's own read-only
+array, on the marginals by construction, and is not checked again.
 
 ``line_search_quadratic`` is the exact minimizer of a 1-D quadratic on
 [0, 1], used by the conditional-gradient solver.
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import MARGINAL_TOL, FsfgwError, ShapeMismatch
+from .core import FsfgwError, ShapeMismatch
 
 __all__ = [
     "Infeasible",
@@ -79,7 +79,8 @@ class NumericalFailure(FsfgwError):
 
 
 class InvalidBasis(FsfgwError):
-    """A starting basis is not a feasible spanning tree for the marginals."""
+    """A starting basis is not one that ``solve_emd`` returned for these
+    marginal arrays, or a cold start is not a spanning tree."""
 
 
 Basis = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -95,10 +96,9 @@ class LpSolution:
     ``iterations`` counts network-simplex pivots; it is 0 when the
     assignment route solved the LP.  ``basis`` is the final spanning tree
     as read-only ``(arc_row, arc_col, arc_flow)`` arrays of n + m - 1 arcs;
-    passed back to ``solve_emd`` with the same marginals it warm-starts the
-    next solve, and with the same read-only marginal arrays it also skips
-    that solve's checks and tree build.  The plan is a function of (cost,
-    a, b, basis).  The assignment route returns no basis.
+    passed back to ``solve_emd`` with the same read-only marginal arrays,
+    it warm-starts the next solve from its tree.  The plan is a function
+    of (cost, a, b, basis).  The assignment route returns no basis.
     """
 
     T: np.ndarray
@@ -152,32 +152,6 @@ def _least_cost_start(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     return np.array(arc_row), np.array(arc_col), np.array(arc_flow)
 
 
-def _check_basis(basis: Basis, a: np.ndarray, b: np.ndarray):
-    """Writable copies of a starting basis, after checking that it has
-    n + m - 1 arcs inside the grid with nonnegative flows that carry the
-    marginals.  That the arcs form a tree is checked when it is hung."""
-
-    n, m = a.shape[0], b.shape[0]
-    arc_row = np.array(basis[0], dtype=np.int64)
-    arc_col = np.array(basis[1], dtype=np.int64)
-    arc_flow = np.array(basis[2], dtype=float)
-    k = n + m - 1
-    if any(part.shape != (k,) for part in (arc_row, arc_col, arc_flow)):
-        raise InvalidBasis(f"a basis for a {n}x{m} instance needs three arrays of {k} arcs")
-    if arc_row.min() < 0 or arc_row.max() >= n or arc_col.min() < 0 or arc_col.max() >= m:
-        raise InvalidBasis(f"basis arcs fall outside the {n}x{m} grid")
-    if not np.all(np.isfinite(arc_flow)) or arc_flow.min() < -MARGINAL_TOL:
-        raise InvalidBasis("basis flows must be finite and nonnegative")
-    row_err = np.abs(np.bincount(arc_row, arc_flow, n) - a).max()
-    col_err = np.abs(np.bincount(arc_col, arc_flow, m) - b).max()
-    if max(row_err, col_err) > MARGINAL_TOL:
-        raise InvalidBasis(
-            f"basis flows miss the marginals by {max(row_err, col_err):.3e} "
-            f"(tolerance {MARGINAL_TOL:g})"
-        )
-    return arc_row, arc_col, arc_flow
-
-
 class _Basis(tuple):
     """A basis that ``solve_emd`` returned: the ``(arc_row, arc_col,
     arc_flow)`` tuple, plus ``marginals``, the marginal arguments of that
@@ -219,15 +193,12 @@ def solve_emd(
     cold simplex starts from the least-cost basis, filling cells cheapest
     first with cost ties broken on the lowest flat index.
 
-    ``basis`` is a spanning tree that an earlier call returned for the
-    same marginals; the simplex starts from it instead.  One that does not
-    fit the marginals raises ``InvalidBasis``.  A basis that this function
-    returned for the very same read-only arrays ``a`` and ``b`` (``is``)
-    is trusted: the marginal and basis checks are skipped and its tree is
-    reused, not changed, with the same result as the checked route.  On
-    degenerate costs a warm start may end at a different optimal vertex
-    than a cold start, with the same value.  The assignment route ignores
-    the basis.
+    ``basis`` is an ``LpSolution.basis`` that this function returned for
+    the very same read-only arrays ``a`` and ``b`` (``is``); anything else
+    raises ``InvalidBasis``.  The simplex starts from its spanning tree,
+    which is reused, not changed, and the marginal checks of that earlier
+    call stand.  On degenerate costs a warm start may end at a different
+    optimal vertex than a cold start, with the same value.
     """
 
     cost = np.ascontiguousarray(cost, dtype=float)
@@ -237,8 +208,12 @@ def solve_emd(
     if not np.all(np.isfinite(cost)):
         raise Infeasible("cost matrix must be finite")
     given = (a, b)
-    trusted = _trusted(basis, a, b, n, m)
-    if trusted:
+    if basis is not None:
+        if not _trusted(basis, a, b, n, m):
+            raise InvalidBasis(
+                "a starting basis must be one solve_emd returned for these very "
+                "read-only marginal arrays"
+            )
         arc_row, arc_col, arc_flow = (np.array(part) for part in basis)
     else:
         a = np.ascontiguousarray(a, dtype=float)
@@ -255,23 +230,16 @@ def solve_emd(
         if abs(sa - sb) > IMBALANCE_TOL:
             raise Infeasible(f"marginal sums differ by {abs(sa - sb):.3e} (> {IMBALANCE_TOL:g})")
         # Tested before b is rescaled, since absorbing the residue can make one
-        # entry of a uniform b differ in the last bit.
-        uniform_square = n == m and bool(np.all(a == a[0]) and np.all(b == b[0]))
-        b = b * (sa / sb)
-        b = b.copy()
-        b[int(np.argmax(b))] += sa - b.sum()
-
-        if uniform_square:
+        # entry of a uniform b differ in the last bit.  The route needs no b.
+        if n == m and bool(np.all(a == a[0]) and np.all(b == b[0])):
             rows, perm = linear_sum_assignment(cost)
             T = np.zeros((n, m))
             T[rows, perm] = a
             T.setflags(write=False)
             return LpSolution(T=T, value=float(np.dot(cost[rows, perm], a)), iterations=0)
-
-        if basis is None:
-            arc_row, arc_col, arc_flow = _least_cost_start(cost, a, b)
-        else:
-            arc_row, arc_col, arc_flow = _check_basis(basis, a, b)
+        b = b * (sa / sb)
+        b[int(np.argmax(b))] += sa - b.sum()
+        arc_row, arc_col, arc_flow = _least_cost_start(cost, a, b)
     n_nodes = n + m
     # Column nodes are offset by n.  Per basic arc: its flow, its cost, and
     # the sum of its two end nodes (so one end gives the other).
@@ -287,7 +255,7 @@ def solve_emd(
     # Tree rooted at row node 0, and the node potentials (u, then v) with
     # pot[0] = 0 and cost = pot[row] + pot[col] on every basic arc.
     pot = [0.0] * n_nodes
-    if trusted:
+    if basis is not None:
         # A copy of the basis's tree, so the basis stays reusable.  Only
         # the arc costs changed: the potentials are set parents first, by
         # the rule ``hang`` uses, so they are the same bits.
@@ -337,8 +305,8 @@ def solve_emd(
                     stack.append(other)
         return placed + len(stack)
 
-    if not trusted and hang(0, -1, -1) != n_nodes:
-        raise InvalidBasis("the basis arcs do not form a spanning tree")
+    if basis is None and hang(0, -1, -1) != n_nodes:
+        raise InvalidBasis("the least-cost start is not a spanning tree")
 
     pivots = 0
     while True:

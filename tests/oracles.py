@@ -46,6 +46,65 @@ def emd_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     return float(res.fun), res.x.reshape(n, m)
 
 
+def checked_basis(arcs, a: np.ndarray, b: np.ndarray):
+    """A warm start for ``solve_emd`` built from a plain ``(arc_row,
+    arc_col, arc_flow)`` tuple: after checking that its n + m - 1 arcs lie
+    in the grid and carry the read-only marginals ``a`` and ``b`` on a
+    spanning tree, hang that tree afresh from row node 0, as the solver
+    does for a cold start, and return it as the basis the solver would
+    have returned for these arrays.  A warm solve from it is the reference
+    for one from a basis whose tree the solver kept."""
+
+    from fsfgw.transport import _Basis
+
+    n, m = a.shape[0], b.shape[0]
+    arc_row = np.array(arcs[0], dtype=np.int64)
+    arc_col = np.array(arcs[1], dtype=np.int64)
+    arc_flow = np.array(arcs[2], dtype=float)
+    assert not a.flags.writeable and not b.flags.writeable
+    assert all(part.shape == (n + m - 1,) for part in (arc_row, arc_col, arc_flow))
+    assert 0 <= arc_row.min() and arc_row.max() < n
+    assert 0 <= arc_col.min() and arc_col.max() < m
+    assert np.all(np.isfinite(arc_flow)) and arc_flow.min() >= -MARGINAL_TOL
+    assert np.abs(np.bincount(arc_row, arc_flow, n) - a).max() <= MARGINAL_TOL
+    assert np.abs(np.bincount(arc_col, arc_flow, m) - b).max() <= MARGINAL_TOL
+    ends = (arc_row + n + arc_col).tolist()
+    adjacency: list[list[int]] = [[] for _ in range(n + m)]
+    for k, i in enumerate(arc_row.tolist()):
+        adjacency[i].append(k)
+        adjacency[ends[k] - i].append(k)
+    parent, parent_arc, depth = [-1] * (n + m), [-1] * (n + m), [0] * (n + m)
+    reached, stack = {0}, [0]
+    while stack:
+        node = stack.pop()
+        for k in adjacency[node]:
+            other = ends[k] - node
+            if k != parent_arc[node]:
+                assert other not in reached, "the basis arcs hold a cycle"
+                reached.add(other)
+                parent[other], parent_arc[other], depth[other] = node, k, depth[node] + 1
+                stack.append(other)
+    assert len(reached) == n + m, "the basis arcs do not span every node"
+    basis = _Basis((arc_row, arc_col, arc_flow))
+    basis.marginals = (a, b)
+    basis.tree = (parent, parent_arc, depth, adjacency)
+    return basis
+
+
+def feature_cost_stack_loop(X: np.ndarray, Y: np.ndarray, q: float, norm: str) -> np.ndarray:
+    """The (d, n, m) feature-cost stack one feature at a time: M_r =
+    |X[:, r] - Y[:, r]^T|^q, divided by its maximum when ``norm`` is
+    ``"per_feature"`` and that maximum is positive."""
+
+    stack = np.empty((X.shape[1], X.shape[0], Y.shape[0]))
+    for r in range(X.shape[1]):
+        M = np.abs(X[:, r][:, None] - Y[:, r][None, :]) ** q
+        if norm == "per_feature" and M.max() > 0.0:
+            M = M / M.max()
+        stack[r] = M
+    return stack
+
+
 def gw_quadruple(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> float:
     """The structure distortion as a literal four-index Python sum."""
 

@@ -403,8 +403,9 @@ class TestPairwiseCommand:
 
     @pytest.mark.parametrize("count, helpers", [(2, 0), (3, 2)])
     def test_pool_is_capped_at_the_pair_count(
-        self, tmp_path, capsys, started_helpers, count, helpers
+        self, tmp_path, capsys, started_helpers, usable_cpus, count, helpers
     ):
+        usable_cpus(64)  # so that the pair count is the binding cap
         obj_dir = self.make_objects(tmp_path, count)
         code = main(["pairwise", str(obj_dir), "--workers", "64",
                      "--out", str(tmp_path / "o")])
@@ -412,6 +413,21 @@ class TestPairwiseCommand:
         capsys.readouterr()
         # A single pair is solved in-process; no helper is started for it.
         assert len(started_helpers) == helpers
+        assert multiprocessing.active_children() == []
+
+    def test_pool_is_capped_at_the_usable_cpus(
+        self, tmp_path, capsys, caplog, started_helpers, usable_cpus
+    ):
+        caplog.set_level(logging.INFO, logger="fsfgw")
+        usable_cpus(2)
+        obj_dir = self.make_objects(tmp_path, 3)
+        code = main(["pairwise", str(obj_dir), "--workers", "64",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        capsys.readouterr()
+        # Three pairs on two usable CPUs: the calling process and one helper.
+        assert len(started_helpers) == 1
+        assert "64 workers capped at 2 usable CPUs" in caplog.messages
         assert multiprocessing.active_children() == []
 
     def test_empty_directory(self, tmp_path, capsys):
@@ -485,7 +501,10 @@ class TestRedistrictCommands:
         assert doc["error"] == "InvalidObjectFile"
         assert bad_file in doc["message"]
 
-    def test_pool_is_capped_at_the_distinct_solves(self, tmp_path, capsys, started_helpers):
+    def test_pool_is_capped_at_the_distinct_solves(
+        self, tmp_path, capsys, started_helpers, usable_cpus
+    ):
+        usable_cpus(64)  # so that the distinct solves are the binding cap
         nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
         code = main(
             ["redistrict", "matrix", str(nodes), str(edges), str(plan_p), str(plan_q),

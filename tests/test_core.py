@@ -282,6 +282,23 @@ class TestFeatureCostStack:
         for r in range(3):
             assert np.array_equal(fwd[r], rev[r].T)
 
+    @pytest.mark.parametrize("norm", ["none", "per_feature"])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n, m", [(6, 9), (9, 6), (1, 7), (1, 1)])
+    def test_equals_the_per_feature_loop(self, n, m, q, norm):
+        # Feature 1 is zero on both objects, so its matrix stays all zero;
+        # rounded features tie.
+        rng = np.random.default_rng(100 * n + m)
+        x, y = make_object(rng, n, 4), make_object(rng, m, 4)
+        X, Y = np.round(x.X, 1), np.round(y.X, 1)
+        X[:, 1] = Y[:, 1] = 0.0
+        x, y = StructuredObject(x.C, x.a, X), StructuredObject(y.C, y.a, Y)
+        stack = feature_cost_stack(x, y, q=q, norm=norm)
+        ref = oracles.feature_cost_stack_loop(X, Y, q, norm)
+        assert stack.tobytes() == ref.tobytes()
+        assert stack.shape == (4, n, m) and not stack.flags.writeable
+        assert not stack[1].any()
+
     def test_invalid_norm_and_exponent(self):
         rng = np.random.default_rng(7)
         x = make_object(rng, 3, 2)

@@ -105,8 +105,9 @@ class TestGwValue:
 
     def test_direct_contraction_memory_is_bounded(self):
         # At n = m = 60 the (n, m, n, m) difference tensor would take
-        # 104 MB in one piece.  Pieces of at most 2**17 doubles (1 MiB)
-        # plus the small inputs and outputs must stay under 4 MB.
+        # 104 MB in one piece.  One reused piece of at most 2**17 doubles
+        # (1 MiB), the two tiles it is filled from (at most 1 MiB each),
+        # and the small inputs and outputs must stay under 4 MB.
         n = 60
         rng = np.random.default_rng(11)
         C1 = oracles.random_structure(rng, n)
@@ -127,7 +128,8 @@ class TestGwValue:
     def test_thin_contraction_memory_is_bounded(self):
         # At n = 2, m = 2000 one row of the difference tensor holds
         # n * m * m = 8e6 doubles (64 MB); pieces over columns of C2 keep
-        # every piece at most 2**17 doubles.
+        # every piece, and the tile of C2 it is filled from, at most 2**17
+        # doubles.
         n, m = 2, 2000
         rng = np.random.default_rng(12)
         C1 = oracles.random_structure(rng, n)
@@ -463,6 +465,23 @@ class TestStructureOperator:
         block = np.abs(C1[:, None, :, None] - C2[None, :, None, :]) ** q
         assert np.array_equal(StructureOperator(C1, C2, q)(T),
                               np.einsum("bjkl,kl->bj", block, T))
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("n, m", [(60, 70), (2, 300)])
+    def test_column_blocked_contraction_equals_whole_rows(self, n, m, q):
+        # One row of the block holds n * m * m > 2**17 doubles, so the
+        # operator also works over pieces of C2's columns, filled from
+        # tiles; each output row is the same einsum reduction as over that
+        # whole row of the (n, m, n, m) block.
+        assert n * m * m > 2**17
+        rng = np.random.default_rng(n + m)
+        C1 = oracles.random_structure(rng, n)
+        C2 = oracles.random_structure(rng, m)
+        T = rng.normal(size=(n, m))
+        K = StructureOperator(C1, C2, q)(T)
+        for i in range(n):
+            row = np.abs(C1[i, None, None, :, None] - C2[None, :, None, :]) ** q
+            assert np.array_equal(K[i], np.einsum("bjkl,kl->bj", row, T)[0])
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_one_build_per_alternating_solve(self, monkeypatch, q):

@@ -308,7 +308,8 @@ class TestPairwiseDistanceMatrix:
         assert "pair (0, 1)" in str(err.value)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_pool_raises_the_serial_failure(self, workers):
+    def test_pool_raises_the_serial_failure(self, usable_cpus, workers):
+        usable_cpus(workers)
         # Task 3 of 6 pairs a 3-feature object with a 2-feature one.
         rng = np.random.default_rng(9)
         objs = [make_object(rng, 4, 3) for _ in range(6)]
@@ -323,20 +324,23 @@ class TestPairwiseDistanceMatrix:
         assert "pair (7, 8)" in str(pooled.value)
         assert multiprocessing.active_children() == []
 
-    def test_helper_that_exits_without_reporting_is_named(self):
+    def test_helper_that_exits_without_reporting_is_named(self, usable_cpus):
+        usable_cpus(2)
         with pytest.raises(ChildProcessError, match=r"exit codes \[7\]"):
             pipelines._ordered_map(_exit_in_helper, [(os.getpid(),)] * 4, 2)
         assert multiprocessing.active_children() == []
 
-    def test_more_workers_than_cores_run_each_task_once(self, tmp_path):
+    def test_more_workers_than_cores_run_each_task_once(self, tmp_path, usable_cpus):
         # A task claimed twice would fail to create its marker file again.
         workers = min((os.cpu_count() or 1) + 1, 16)
+        usable_cpus(workers)  # the engine starts no more processes than it sees CPUs
         results = pipelines._ordered_map(_mark, [(tmp_path, i) for i in range(64)], workers)
         assert results == list(range(64))
         assert len(list(tmp_path.iterdir())) == 64
         assert multiprocessing.active_children() == []
 
-    def test_interrupt_terminates_the_helpers(self):
+    def test_interrupt_terminates_the_helpers(self, usable_cpus):
+        usable_cpus(3)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             pipelines._ordered_map(_interrupt_in_caller, [(os.getpid(),)] * 4, 3)

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from fsfgw.core import (
+    DimensionMismatch,
     FsFgwConfig,
     InvalidConfig,
+    ShapeMismatch,
     StructuredObject,
     SuppressionWeights,
     feature_cost_stack,
@@ -530,6 +532,21 @@ class TestSolveFsfgw:
         x, y = make_object(rng, 5, 3), make_object(rng, 4, 3)
         solve_fsfgw(x, y, FsFgwConfig(mode="lasso", lam=0.1, restarts=1))
         assert len(calls) == 1
+
+    def test_invalid_pair_is_rejected_in_the_callers_order(self):
+        # The larger object comes second in the canonical orientation, so a
+        # pair that were swapped before it is checked would name its
+        # feature counts the other way round.
+        rng = np.random.default_rng(17)
+        small, large = make_object(rng, 4, 3), make_object(rng, 6, 2)
+        config = FsFgwConfig(mode="lasso", lam=0.1)
+        for x, y, counts in ((small, large, "3 vs 2"), (large, small, "2 vs 3")):
+            with pytest.raises(DimensionMismatch, match=f"^feature counts differ: {counts}$"):
+                solve_fsfgw(x, y, config)
+        message = "^validate_pair expects two StructuredObject instances$"
+        for x, y in ((small, "object"), ("object", small)):
+            with pytest.raises(ShapeMismatch, match=message):
+                solve_fsfgw(x, y, config)
 
     def test_fixed_problem_checked_once_and_plans_once_per_solve(self, monkeypatch):
         # Inner LP and CG results travel as arrays: the only checked plan
