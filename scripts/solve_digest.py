@@ -69,15 +69,6 @@ def pairs(count, large):
                                              uniform), config
 
 
-parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-parser.add_argument("--count", type=int, default=720)
-parser.add_argument("--large", type=int, default=0)
-parser.add_argument("--synth", type=int, default=0)
-parser.add_argument("--plans", type=int, default=0)
-args = parser.parse_args()
-h = hashlib.sha256()
-
-
 def add(r):
     scalars = (r.objective, r.feature_term, r.gw_term, r.reg_term, r.lambda_used,
                r.outer_iters, r.converged)
@@ -93,6 +84,13 @@ def perfbench_workload(name):
     return workloads.WORKLOADS[name]
 
 
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("--count", type=int, default=720)
+parser.add_argument("--large", type=int, default=0)
+parser.add_argument("--synth", type=int, default=0)
+parser.add_argument("--plans", type=int, default=0)
+args = parser.parse_args()
+h = hashlib.sha256()
 for x, y, config in pairs(args.count, args.large):
     add(solve_fsfgw(x, y, config))
 if args.synth > 0:

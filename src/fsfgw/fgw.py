@@ -124,6 +124,7 @@ def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.
             np.subtract(left[:, None, :], right[None, :, :], out=piece)
             diff = _distortion(piece, q).reshape(r1 - r0, c1 - c0, n, m)
             K[r0:r1, c0:c1] = np.einsum("bjkl,kl->bj", diff, T)
+        del right  # free the tile before the next one is built
     return K
 
 

@@ -168,7 +168,8 @@ def test_bench_json_records_the_measured_tree(tmp_path):
 def test_solve_digest_is_repeatable():
     digests = []
     for _ in range(2):
-        proc = run_script("solve_digest.py", "--count", "12", "--large", "1", "--plans", "1")
+        proc = run_script("solve_digest.py", "--count", "12", "--large", "1", "--synth", "1",
+                          "--plans", "1")
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
