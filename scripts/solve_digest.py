@@ -23,13 +23,16 @@ outer iteration count and convergence flag, so two trees that print the
 same digest gave the same bits on every solve.  ``--plans K`` (default 0)
 then runs the first K batches of perfbench's ``redistrict-cluster``
 workload at seed 1 through ``fsfgw.cli.main`` with ``--workers`` 1, 2
-and 3 (the calling process plus up to two helper processes, no more
-than the usable CPUs), and adds the ``plan_distances.csv`` and
-``dendrogram.json`` of the serial run to the digest; it exits non-zero
-if any worker count writes different bytes.  The q = 2 products go
-through BLAS, so compare digests taken on one machine.
+and 3, and adds the ``plan_distances.csv`` and ``dendrogram.json`` of
+the serial run to the digest; it exits non-zero if any worker count
+writes different bytes.  The pool caps its helpers at the usable CPUs,
+so for these runs the script's own process reports three
+(``os.sched_getaffinity``): ``--workers 3`` then starts two helper
+processes beside the calling one on any machine, three processes in all
+and no more.  The q = 2 products go through BLAS, so compare digests
+taken on one machine.
 """
-import argparse, contextlib, hashlib, importlib.util, io, sys, tempfile
+import argparse, contextlib, hashlib, importlib.util, io, os, sys, tempfile
 from pathlib import Path
 import numpy as np
 import fsfgw.cli
@@ -100,6 +103,7 @@ if args.synth > 0:
             for x, y in batch:
                 add(solve_fsfgw(x, y, synth.config))
 if args.plans > 0:
+    os.sched_getaffinity = lambda pid: set(range(max(WORKERS)))
     cluster = perfbench_workload("redistrict-cluster")
     with tempfile.TemporaryDirectory() as tmp:
         batches = cluster.prepare(1, Path(tmp), args.plans)

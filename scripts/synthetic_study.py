@@ -106,7 +106,8 @@ def roc_block(out: Path, seeds: int) -> None:
             aucs = []
             for seed in range(seeds):
                 spec = SyntheticSpec(d=100, k=10, delta=2.0, seed=seed)
-                auc = roc_sweep(spec, mode, ROC_FRACTIONS).auc
+                config = FsFgwConfig(mode=mode, suppression_fraction=0.3, seed=seed)
+                auc = roc_sweep(spec, config, ROC_FRACTIONS).auc
                 aucs.append(auc)
                 writer.writerow([mode, seed, auc])
             logger.info("roc %-6s mean AUC %.4f over %d seeds", mode, float(np.mean(aucs)), seeds)

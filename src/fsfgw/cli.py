@@ -309,13 +309,12 @@ def cmd_synthetic_delta_sweep(args) -> int:
 def cmd_synthetic_roc(args) -> int:
     spec = _synthetic_spec(args)
     fractions = [float(v) for v in args.fracs.split(",") if v.strip()]
-    sweep = roc_sweep(
-        spec, args.mode, fractions, alpha=args.alpha, q=args.q, feature_norm=args.norm
-    )
+    config = _config_from_args(args)
+    sweep = roc_sweep(spec, config, fractions)
     out = _out_dir(args)
     rows = [[_g(p.fraction), _g(p.tpr), _g(p.fpr)] for p in sweep.points]
     _write_csv(out / "roc.csv", ["f", "tpr", "fpr"], rows)
-    _write_manifest(out, args.command_line, None, [], args.seed)
+    _write_manifest(out, args.command_line, config, [], args.seed)
     print(f"auc {_g(sweep.auc)}")
     return 0
 

@@ -4,24 +4,22 @@ The structure term is GW(T) = <K(T), T> with the linear operator
 
     K(T)[i, j] = sum_{i' j'} |C1[i, i'] - C2[j, j']|^q T[i', j']
 
-defined for any real T, so the gradient of GW is 2 K(T).  C1, C2 and q
-never change within a solve, so K is a ``StructureOperator`` built once,
-by the ``FgwProblem`` that holds them, and passed to ``gw_value`` and
-``gw_gradient`` (which build a one-shot one when none is given).  For
-q = 2 K factorizes into two marginal-weighted vectors and one bilinear
-term, avoiding the O(n^2 m^2) contraction.
-Other exponents use the direct contraction, only permitted up to
-n * m = 10,000.  The operator keeps no difference block: each dense call
-builds |C1[i, i'] - C2[j, j']|^q in pieces of at most 2**17 doubles
-(1 MiB), each filled from two tiles of C1 and C2 of at most 1 MiB, and
-applies each with an einsum, which makes no BLAS call.
-``StructureOperator.sparse`` applies K to a plan's nnz nonzeros in
-O(n m nnz), also by einsum: O(n m (n + m)) on an LP vertex, whose nnz is
-at most n + m - 1.  At q != 2 ``gw_value`` evaluates <K(T), T> that way,
-on the support of T.
+defined for any real T, so the gradient of GW is 2 K(T).  ``gw_value``
+and ``gw_gradient`` take (T, C1, C2, q) and apply K through two private
+functions.  ``_k_dense`` applies it to any n x m matrix: for q = 2 K
+factorizes into two marginal-weighted vectors and one bilinear term,
+avoiding the O(n^2 m^2) contraction.  Other exponents use the direct
+contraction, only permitted up to n * m = 10,000; it keeps no difference
+block: each call builds |C1[i, i'] - C2[j, j']|^q in pieces of at most
+2**17 doubles (1 MiB), each filled from two tiles of C1 and C2 of at most
+1 MiB, and applies each with an einsum, which makes no BLAS call.
+``_k_sparse`` applies K to a plan's nnz nonzeros in O(n m nnz), also by
+einsum: O(n m (n + m)) on an LP vertex, whose nnz is at most n + m - 1.
+At q != 2 ``gw_value`` evaluates <K(T), T> that way, on the support of T.
 
 ``FgwProblem`` is the fixed half of the problem, (C1, C2, alpha, q, a, b),
-checked once when it is built, with read-only copies of a and b;
+checked once when it is built, size cap included, with read-only copies
+of a and b;
 ``solve_fgw(problem, M_eff, init, basis, gradient)`` checks only the
 shapes of its arrays and the finiteness of ``M_eff``.  It minimizes
 (1 - alpha) <M_eff, T> + alpha GW(T) over U(a, b) by conditional
@@ -55,7 +53,6 @@ __all__ = [
     "DIRECT_CONTRACTION_CAP",
     "FgwProblem",
     "FgwSolve",
-    "StructureOperator",
     "gw_value",
     "gw_gradient",
     "solve_fgw",
@@ -75,7 +72,17 @@ class InstanceTooLarge(FsfgwError):
     """Direct contraction requested beyond the n * m size cap."""
 
 
-def _checked(T, C1, C2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_size(n: int, m: int, q: float) -> None:
+    """Raise ``InstanceTooLarge`` when the direct contraction (q != 2)
+    would exceed the n * m cap."""
+
+    if q != 2.0 and n * m > DIRECT_CONTRACTION_CAP:
+        raise InstanceTooLarge(
+            f"direct contraction needs n*m <= {DIRECT_CONTRACTION_CAP}, got {n * m}"
+        )
+
+
+def _checked(T, C1, C2, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T = np.asarray(T, dtype=float)
     C1 = np.asarray(C1, dtype=float)
     C2 = np.asarray(C2, dtype=float)
@@ -84,6 +91,7 @@ def _checked(T, C1, C2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ShapeMismatch(
             f"structure matrices {C1.shape}, {C2.shape} do not fit a {n}x{m} plan"
         )
+    _check_size(n, m, q)
     return T, C1, C2
 
 
@@ -128,92 +136,46 @@ def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.
     return K
 
 
-class StructureOperator:
-    """K for fixed (C1, C2, q), built once and applied to any n x m matrix.
+def _k_dense(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
+    """K(T): (C1∘C1) r + (C2∘C2) c - 2 C1 T C2 for q = 2, with r and c
+    the row and column sums of T; the blocked contraction otherwise."""
 
-    q = 2 keeps C1∘C1 and C2∘C2 for the factorized form.  Other exponents
-    keep no difference block: a dense call runs the blocked contraction
-    in pieces of at most 2**17 doubles (1 MiB), filled from two tiles of
-    at most 1 MiB, and ``sparse`` applies K to a plan's nonzeros; neither
-    makes a BLAS call.
-    """
-
-    def __init__(self, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -> None:
-        self.C1 = np.asarray(C1, dtype=float)
-        self.C2 = np.asarray(C2, dtype=float)
-        self.q = q
-        n, m = self.C1.shape[0], self.C2.shape[0]
-        self.shape = (n, m)
-        if q == 2.0:
-            self.C1_sq = self.C1 * self.C1
-            self.C2_sq = self.C2 * self.C2
-        elif n * m > DIRECT_CONTRACTION_CAP:
-            raise InstanceTooLarge(
-                f"direct contraction needs n*m <= {DIRECT_CONTRACTION_CAP}, got {n * m}"
-            )
-
-    def __call__(self, T: np.ndarray) -> np.ndarray:
-        """K(T): (C1∘C1) r + (C2∘C2) c - 2 C1 T C2 for q = 2, with r and c
-        the row and column sums of T; the blocked contraction otherwise."""
-
-        if self.q == 2.0:
-            r = T.sum(axis=1)
-            c = T.sum(axis=0)
-            return (
-                (self.C1_sq @ r)[:, None] + (self.C2_sq @ c)[None, :]
-                - 2.0 * (self.C1 @ T @ self.C2)
-            )
-        return _contraction(T, self.C1, self.C2, self.q)
-
-    def sparse(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """K of the n x m matrix with ``values`` at (``rows``, ``cols``) and
-        zeros elsewhere, such as an LP vertex: an einsum over |C1[:, rows]
-        - C2[:, cols]|^q in pieces of at most 2**22 doubles, gathers included."""
-
-        n, m = self.shape
-        K = np.zeros((n, m))
-        step = max(1, _BLOCK_DOUBLES // (n * m + n + m))
-        for s0 in range(0, len(values), step):
-            piece = slice(s0, s0 + step)
-            diff = _distortion(self.C1[:, None, rows[piece]] - self.C2[None, :, cols[piece]],
-                               self.q)
-            K += np.einsum("ijs,s->ij", diff, values[piece])
-            del diff  # free the piece before the next one is allocated
-        return K
+    if q == 2.0:
+        r = T.sum(axis=1)
+        c = T.sum(axis=0)
+        return ((C1 * C1) @ r)[:, None] + ((C2 * C2) @ c)[None, :] - 2.0 * (C1 @ T @ C2)
+    return _contraction(T, C1, C2, q)
 
 
-def _operator(T, C1, C2, q, operator: StructureOperator | None) -> StructureOperator:
-    if operator is None:
-        return StructureOperator(C1, C2, q)
-    if operator.shape != T.shape or operator.q != q:
-        raise ShapeMismatch(
-            f"operator for a {operator.shape} plan at q={operator.q} "
-            f"applied to a {T.shape} plan at q={q}"
-        )
-    return operator
+def _k_sparse(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+              C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
+    """K of the n x m matrix with ``values`` at (``rows``, ``cols``) and
+    zeros elsewhere, such as an LP vertex: an einsum over |C1[:, rows]
+    - C2[:, cols]|^q in pieces of at most 2**22 doubles, gathers included."""
+
+    n, m = C1.shape[0], C2.shape[0]
+    K = np.zeros((n, m))
+    step = max(1, _BLOCK_DOUBLES // (n * m + n + m))
+    for s0 in range(0, len(values), step):
+        piece = slice(s0, s0 + step)
+        diff = _distortion(C1[:, None, rows[piece]] - C2[None, :, cols[piece]], q)
+        K += np.einsum("ijs,s->ij", diff, values[piece])
+        del diff  # free the piece before the next one is allocated
+    return K
 
 
-def gw_value(
-    T: np.ndarray,
-    C1: np.ndarray,
-    C2: np.ndarray,
-    q: float = 2.0,
-    operator: StructureOperator | None = None,
-) -> float:
+def gw_value(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -> float:
     """Exact value of the structure-distortion quartic form, <K(T), T> (>= 0).
 
     At q != 2 K(T) is applied to the nonzeros of T only, in O(n m nnz),
-    which an LP vertex keeps at n + m - 1 or fewer.  ``operator`` is a
-    ``StructureOperator`` for (C1, C2, q) to reuse; a one-shot one is
-    built when it is None."""
+    which an LP vertex keeps at n + m - 1 or fewer."""
 
-    T, C1, C2 = _checked(T, C1, C2)
-    operator = _operator(T, C1, C2, q, operator)
+    T, C1, C2 = _checked(T, C1, C2, q)
     if q == 2.0:
-        K = operator(T)
+        K = _k_dense(T, C1, C2, q)
     else:
         rows, cols = np.nonzero(T)
-        K = operator.sparse(rows, cols, T[rows, cols])
+        K = _k_sparse(rows, cols, T[rows, cols], C1, C2, q)
     value = float(np.sum(K * T))
     # The form is a sum of nonnegative terms; cancellation in the
     # factorized path may leave a tiny negative residue.
@@ -222,28 +184,21 @@ def gw_value(
     return value
 
 
-def gw_gradient(
-    T: np.ndarray,
-    C1: np.ndarray,
-    C2: np.ndarray,
-    q: float = 2.0,
-    operator: StructureOperator | None = None,
-) -> np.ndarray:
+def gw_gradient(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -> np.ndarray:
     """Gradient of ``gw_value`` with respect to the plan: 2 K(T).
 
-    Linear in the plan, which may be any real matrix (a CG direction).
-    ``operator`` is reused as in ``gw_value``."""
+    Linear in the plan, which may be any real matrix (a CG direction)."""
 
-    T, C1, C2 = _checked(T, C1, C2)
-    return 2.0 * _operator(T, C1, C2, q, operator)(T)
+    T, C1, C2 = _checked(T, C1, C2, q)
+    return 2.0 * _k_dense(T, C1, C2, q)
 
 
 @dataclass(frozen=True)
 class FgwProblem:
     """The fixed half of a fused transport problem: structure matrices,
     trade-off ``alpha``, exponent ``q``, and the two marginals, checked
-    once, with ``operator``, the ``StructureOperator`` for (C1, C2, q),
-    built once for every ``solve_fgw`` on the problem."""
+    once, for every ``solve_fgw`` on the problem; at q != 2 beyond the
+    direct contraction's n * m cap it raises ``InstanceTooLarge``."""
 
     C1: np.ndarray
     C2: np.ndarray
@@ -273,7 +228,7 @@ class FgwProblem:
         # for these very arrays.
         a.setflags(write=False)
         b.setflags(write=False)
-        object.__setattr__(self, "operator", StructureOperator(C1, C2, self.q))
+        _check_size(n, m, self.q)
 
 
 class FgwSolve(NamedTuple):
@@ -315,7 +270,7 @@ def solve_fgw(
     gradient: np.ndarray | None = None,
 ) -> FgwSolve:
     """Conditional-gradient minimization of (1 - alpha) <M_eff, T> +
-    alpha GW(T) over U(a, b), with K the problem's ``operator``.
+    alpha GW(T) over U(a, b).
 
     ``M_eff`` must be a finite n x m matrix; the problem was checked when
     it was built.
@@ -340,7 +295,7 @@ def solve_fgw(
     value is the same.
     """
 
-    alpha, q, operator = problem.alpha, problem.q, problem.operator
+    alpha, q = problem.alpha, problem.q
     C1, C2, a, b = problem.C1, problem.C2, problem.a, problem.b
     shape = (a.shape[0], b.shape[0])
     M = np.asarray(M_eff, dtype=float)
@@ -353,9 +308,9 @@ def solve_fgw(
         raise ShapeMismatch(f"warm start of shape {T.shape} does not fit a {shape} plan")
 
     # G = 2 K(T) is the structure gradient; K's linearity carries it and
-    # the objective from step to step with one operator call each.
+    # the objective from step to step with one application of K each.
     if gradient is None:
-        G = gw_gradient(T, C1, C2, q, operator)
+        G = gw_gradient(T, C1, C2, q)
     else:
         G = np.array(gradient, dtype=float)
         if G.shape != shape:
@@ -379,10 +334,10 @@ def solve_fgw(
             stop = "stationary"
             break
         if q == 2.0:
-            G_d = gw_gradient(direction, C1, C2, q, operator)
+            G_d = gw_gradient(direction, C1, C2, q)
         else:
             rows, cols = np.nonzero(lp.T)
-            G_d = 2.0 * operator.sparse(rows, cols, lp.T[rows, cols]) - G
+            G_d = 2.0 * _k_sparse(rows, cols, lp.T[rows, cols], C1, C2, q) - G
         quad = 0.5 * alpha * float(np.sum(G_d * direction))
         gamma = line_search_quadratic(quad, slope) if q == 2.0 else _armijo_step(quad, slope)
         if gamma <= 0.0:

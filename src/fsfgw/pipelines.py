@@ -309,23 +309,22 @@ def _trapezoid_auc(points: Sequence[tuple[float, float]]) -> float:
 
 
 def roc_sweep(
-    spec: SyntheticSpec,
-    mode: str,
-    fractions: Sequence[float],
-    alpha: float = 0.5,
-    q: float = 2.0,
-    feature_norm: str = "per_feature",
+    spec: SyntheticSpec, config: FsFgwConfig, fractions: Sequence[float]
 ) -> RocSweep:
     """Recovery operating curve over suppression fractions on one pair.
 
-    Each fraction is an independent solve on the same synthetic pair;
-    weights threshold at 0.5 into predicted-differentiating sets, scored
-    against the planted truth.  The AUC is the trapezoid over the points
-    sorted by FPR, anchored at (0, 0) and (1, 1).
+    Each fraction is an independent solve on the same synthetic pair with
+    ``config``, a lasso or ridge configuration without a fixed level, whose
+    suppression fraction is the only field replaced; weights threshold at
+    0.5 into predicted-differentiating sets, scored against the planted
+    truth.  The AUC is the trapezoid over the points sorted by FPR,
+    anchored at (0, 0) and (1, 1).
     """
 
-    if mode not in ("lasso", "ridge"):
-        raise InvalidConfig(f"roc_sweep supports lasso and ridge, got {mode!r}")
+    if config.mode not in ("lasso", "ridge"):
+        raise InvalidConfig(f"roc_sweep supports lasso and ridge, got {config.mode!r}")
+    if config.lam is not None:
+        raise InvalidConfig("roc_sweep calibrates the level at each fraction; lam must be None")
     if not (0 < spec.k < spec.d):
         raise EmptySet("roc_sweep needs a nonempty proper differentiating set")
     if len(fractions) == 0:
@@ -335,15 +334,7 @@ def roc_sweep(
     truth[sorted(diff)] = True
     points = []
     for f in fractions:
-        config = FsFgwConfig(
-            mode=mode,
-            alpha=alpha,
-            q=q,
-            suppression_fraction=float(f),
-            feature_norm=feature_norm,
-            seed=spec.seed,
-        )
-        result = solve_fsfgw(x, y, config)
+        result = solve_fsfgw(x, y, replace(config, suppression_fraction=float(f)))
         predicted = result.weights.w > 0.5
         tp = int(np.sum(predicted & truth))
         fp = int(np.sum(predicted & ~truth))

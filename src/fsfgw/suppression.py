@@ -19,9 +19,9 @@ gradient transport solves: each outer iteration starts from the previous
 plan, LP basis and structure gradient 2 K(T), so only the first solve of
 each alternating run applies K to a dense plan.  The basis never leaves
 one alternating solve (restarts start cold), so a solve is a function of
-(x, y, config).  The FGW problem with its structure operator, the
-partition and the level are set up once per solve and shared by every
-outer iteration and restart.
+(x, y, config).  The FGW problem (checked once, the direct contraction's
+size cap included), the partition and the level are set up once per
+solve and shared by every outer iteration and restart.
 The groupwise objective weighs each feature score by the reciprocal of its
 group size (group-mean form), in both the update and the reported objective.
 """
@@ -165,7 +165,7 @@ def _solve_once(
             lam = calibrate_lambda(scores, alpha, config.suppression_fraction)
         parts = (
             (1.0 - alpha) * float(np.dot((1.0 - w_new) * inv_size, scores)),
-            alpha * gw_value(T, problem.C1, problem.C2, q, problem.operator),
+            alpha * gw_value(T, problem.C1, problem.C2, q),
             _regularizer(w_new, mode, lam),
         )
         obj_new = sum(parts)
@@ -246,7 +246,7 @@ def solve_fsfgw(
     # exactly symmetric, so this stack is the transpose of the caller's.
     stack = feature_cost_stack(x, y, q=config.q, norm=config.feature_norm)
     # C1, C2, alpha, q and the marginals are fixed for every outer
-    # iteration and restart: checked, with K built, once.
+    # iteration and restart: checked once.
     problem = FgwProblem(C1=x.C, C2=y.C, alpha=config.alpha, q=config.q, a=x.a, b=y.a)
     groups = check_partition(config.groups, x.d) if config.mode == "group_simplex" else None
     # Groupwise scoring weighs each feature by 1 / |its group| (group means).

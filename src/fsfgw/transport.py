@@ -66,6 +66,8 @@ __all__ = [
 IMBALANCE_TOL = 1e-7
 
 _REDUCED_COST_TOL = 1e-11
+# The simplex raises NumericalFailure after 200 (n + m) + 1000 pivots.
+_PIVOTS_PER_NODE = 200
 _SCALING_MAX_ITERS = 10_000
 _SCALING_TOL = 1e-12
 
@@ -173,7 +175,6 @@ def solve_emd(
     cost: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    max_pivots: int | None = None,
     basis: Basis | None = None,
 ) -> LpSolution:
     """Exact solution of the transportation LP min <cost, T> over U(a, b).
@@ -189,9 +190,10 @@ def solve_emd(
     ``iterations`` is 0.  On degenerate costs that pick need not be the
     lowest-flat-index vertex.  All other inputs go through the network
     simplex, where ties in both the entering and the leaving choice break
-    on the lowest flat cell index and ``iterations`` counts pivots.  A
-    cold simplex starts from the least-cost basis, filling cells cheapest
-    first with cost ties broken on the lowest flat index.
+    on the lowest flat cell index and ``iterations`` counts pivots; more
+    than 200 (n + m) + 1000 raise ``NumericalFailure``.  A cold simplex
+    starts from the least-cost basis, filling cells cheapest first with
+    cost ties broken on the lowest flat index.
 
     ``basis`` is an ``LpSolution.basis`` that this function returned for
     the very same read-only arrays ``a`` and ``b`` (``is``); anything else
@@ -248,8 +250,7 @@ def solve_emd(
     arc_cost = cost.ravel()[flat].tolist()
     ends = (arc_row + n + arc_col).tolist()
 
-    if max_pivots is None:
-        max_pivots = 200 * n_nodes + 1000
+    max_pivots = _PIVOTS_PER_NODE * (n_nodes + 5)
     bland_after = 20 * n_nodes + 200
 
     # Tree rooted at row node 0, and the node potentials (u, then v) with

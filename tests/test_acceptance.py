@@ -334,7 +334,8 @@ def test_10_roc_sweep_auc(capsys):
     for seed in range(5):
         spec = SyntheticSpec(d=100, k=10, delta=2.0, seed=seed)
         for mode in ("lasso", "ridge"):
-            aucs[mode].append(roc_sweep(spec, mode, fractions).auc)
+            config = FsFgwConfig(mode=mode, suppression_fraction=0.3, seed=seed)
+            aucs[mode].append(roc_sweep(spec, config, fractions).auc)
     lasso_auc = float(np.mean(aucs["lasso"]))
     ridge_auc = float(np.mean(aucs["ridge"]))
     if lasso_auc < 0.85:

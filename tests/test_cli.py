@@ -244,6 +244,23 @@ class TestSolveValidationErrors:
         code = main(["solve", str(x), str(y), "--out", str(tmp_path / "o")])
         self.assert_error_json(capsys, code, 2)
 
+    def test_direct_contraction_beyond_the_cap_is_a_solver_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # n * m = 10,201 at q = 1: the FGW problem refuses it when built,
+        # before any transport LP is solved.
+        lps = []
+        monkeypatch.setattr(fsfgw.fgw, "solve_emd", lambda *args, **kwargs: lps.append(1))
+        rng = np.random.default_rng(6)
+        x, y = tmp_path / "x.json", tmp_path / "y.json"
+        write_object(x, rng, 101, 2)
+        write_object(y, rng, 101, 2)
+        code = main(["solve", str(x), str(y), "--q", "1", "--out", str(tmp_path / "o")])
+        doc = self.assert_error_json(capsys, code, 3)
+        assert doc["error"] == "InstanceTooLarge"
+        assert lps == []
+        assert not (tmp_path / "o" / "result.json").exists()
+
     def test_usage_error_from_the_parser(self, capsys):
         assert main(["solve"]) == 2
         capsys.readouterr()
@@ -340,6 +357,20 @@ class TestSyntheticCommands:
         lines = read_csv_lines(out / "roc.csv")
         assert lines[0] == "f,tpr,fpr"
         assert len(lines) == 3
+
+    def test_roc_solves_with_the_config_flags(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["synthetic", "roc", "--n", "16", "--d", "6", "--k", "2", "--radius", "0.45",
+                "--fracs", "0.2,0.5", "--out", str(out)]
+        assert main(argv + ["--max-outer-iter", "1"]) == 0
+        capsys.readouterr()
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["mode"], config["max_outer_iter"]) == ("lasso", 1)
+        # A fixed level would make every point of the sweep the same solve.
+        assert main(argv + ["--lambda", "0.1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+        assert main(argv + ["--groups", str(tmp_path / "absent.json")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
 
 class TestPairwiseCommand:

@@ -13,7 +13,8 @@ import fsfgw.fgw
 from fsfgw.fgw import (
     FgwProblem,
     InstanceTooLarge,
-    StructureOperator,
+    _k_dense,
+    _k_sparse,
     gw_gradient,
     gw_value,
     solve_fgw,
@@ -102,6 +103,15 @@ class TestGwValue:
             gw_value(T, C, C, q=1.0)
         # The factorized q=2 route has no such cap.
         assert gw_value(T, C, C, q=2.0) == 0.0
+        with pytest.raises(InstanceTooLarge):
+            gw_gradient(T, C, C, q=1.0)
+
+    def test_problem_checks_the_size_cap_when_built(self):
+        n = 101  # n * m = 10,201
+        C, a = np.zeros((n, n)), np.full(n, 1.0 / n)
+        with pytest.raises(InstanceTooLarge):
+            FgwProblem(C1=C, C2=C, alpha=0.5, q=1.0, a=a, b=a)
+        assert FgwProblem(C1=C, C2=C, alpha=0.5, q=2.0, a=a, b=a).q == 2.0
 
     def test_direct_contraction_memory_is_bounded(self):
         # At n = m = 60 the (n, m, n, m) difference tensor would take
@@ -384,17 +394,16 @@ class TestLinearOperator:
         # K is applied to a dense plan once, for the starting gradient, and
         # once per reached line search: to the direction D through
         # gw_gradient at q = 2, to the LP vertex otherwise.
-        calls = {"gw_gradient": 0, "gw_value": 0, "sparse": 0}
+        calls = {"gw_gradient": 0, "gw_value": 0, "_k_sparse": 0}
         lps = []
-        for owner, name in ((fsfgw.fgw, "gw_gradient"), (fsfgw.fgw, "gw_value"),
-                            (StructureOperator, "sparse")):
-            real = getattr(owner, name)
+        for name in calls:
+            real = getattr(fsfgw.fgw, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(owner, name, counting)
+            monkeypatch.setattr(fsfgw.fgw, name, counting)
         real_emd = fsfgw.fgw.solve_emd
 
         def recording(cost, *args, **kwargs):
@@ -412,9 +421,9 @@ class TestLinearOperator:
         cost, vertex = lps[-1]
         reached = len(lps) - 1 + (float(np.sum(cost * (vertex - sol.T))) < 0.0)
         if q == 2.0:
-            assert counted == {"gw_gradient": 1 + reached, "gw_value": 0, "sparse": 0}
+            assert counted == {"gw_gradient": 1 + reached, "gw_value": 0, "_k_sparse": 0}
         else:
-            assert counted == {"gw_gradient": 1, "gw_value": 0, "sparse": reached}
+            assert counted == {"gw_gradient": 1, "gw_value": 0, "_k_sparse": reached}
         assert sol.objective == pytest.approx(fgw_objective(sol.T, prob, M), rel=1e-12)
         assert all(b < a for a, b in zip(sol.trace, sol.trace[1:]))
 
@@ -425,7 +434,7 @@ class TestLinearOperator:
         prob, M = random_problem(np.random.default_rng(24), 9, 8, q=q)
         first = solve_fgw(prob, M)
         assert first.stop in ("stationary", "no step", "tol")
-        fresh = gw_gradient(first.T, prob.C1, prob.C2, q, prob.operator)
+        fresh = gw_gradient(first.T, prob.C1, prob.C2, q)
         np.testing.assert_allclose(first.G, fresh, rtol=0.0, atol=1e-12)
         assert not first.G.flags.writeable
         calls = []
@@ -453,24 +462,26 @@ def point_cloud(rng, n, d=3):
 
 
 class TestStructureOperator:
+    """K for fixed (C1, C2, q), dense and on a plan's nonzeros."""
+
     @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("n, m", [(24, 24), (32, 28), (32, 32), (50, 45)])
     def test_equals_the_blocked_contraction(self, n, m, q):
-        # The operator works in 1 MiB pieces; every cell is the same
-        # einsum reduction as over the whole (n, m, n, m) block.
+        # K works in 1 MiB pieces; every cell is the same einsum
+        # reduction as over the whole (n, m, n, m) block.
         rng = np.random.default_rng(n * m)
         C1 = oracles.random_structure(rng, n)
         C2 = oracles.random_structure(rng, m)
         T = rng.normal(size=(n, m))  # any real matrix, as a CG direction
         block = np.abs(C1[:, None, :, None] - C2[None, :, None, :]) ** q
-        assert np.array_equal(StructureOperator(C1, C2, q)(T),
+        assert np.array_equal(gw_gradient(T, C1, C2, q) / 2.0,
                               np.einsum("bjkl,kl->bj", block, T))
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("n, m", [(60, 70), (2, 300)])
     def test_column_blocked_contraction_equals_whole_rows(self, n, m, q):
-        # One row of the block holds n * m * m > 2**17 doubles, so the
-        # operator also works over pieces of C2's columns, filled from
+        # One row of the block holds n * m * m > 2**17 doubles, so K is
+        # also applied over pieces of C2's columns, filled from
         # tiles; each output row is the same einsum reduction as over that
         # whole row of the (n, m, n, m) block.
         assert n * m * m > 2**17
@@ -478,37 +489,10 @@ class TestStructureOperator:
         C1 = oracles.random_structure(rng, n)
         C2 = oracles.random_structure(rng, m)
         T = rng.normal(size=(n, m))
-        K = StructureOperator(C1, C2, q)(T)
+        K = gw_gradient(T, C1, C2, q) / 2.0
         for i in range(n):
             row = np.abs(C1[i, None, None, :, None] - C2[None, :, None, :]) ** q
             assert np.array_equal(K[i], np.einsum("bjkl,kl->bj", row, T)[0])
-
-    @pytest.mark.parametrize("q", [1.0, 2.0])
-    def test_one_build_per_alternating_solve(self, monkeypatch, q):
-        builds = []
-        real_init = StructureOperator.__init__
-
-        def counting(self, *args, **kwargs):
-            builds.append(args)
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(StructureOperator, "__init__", counting)
-        rng = np.random.default_rng(21)
-        x, y = point_cloud(rng, 9), point_cloud(rng, 8)
-        res = solve_fsfgw(x, y, FsFgwConfig(mode="simplex", q=q, restarts=2, seed=4))
-        assert res.outer_iters >= 1
-        assert len(builds) == 1
-
-    def test_operator_must_fit_the_call(self):
-        rng = np.random.default_rng(22)
-        C1, C2 = oracles.random_structure(rng, 4), oracles.random_structure(rng, 3)
-        T = np.full((4, 3), 1.0 / 12)
-        op = StructureOperator(C1, C2, 1.0)
-        assert gw_value(T, C1, C2, 1.0, op) == gw_value(T, C1, C2, 1.0)
-        with pytest.raises(ShapeMismatch):
-            gw_value(T, C1, C2, 3.0, op)
-        with pytest.raises(ShapeMismatch):
-            gw_gradient(T.T, C2, C1, 1.0, op)
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("route", ["simplex", "assignment"])
@@ -522,10 +506,9 @@ class TestStructureOperator:
         lp = solve_emd(rng.uniform(size=(n, m)), a, b)
         assert (lp.basis is None) == (route == "assignment")
         rows, cols = np.nonzero(lp.T)
-        op = StructureOperator(oracles.random_structure(rng, n),
-                               oracles.random_structure(rng, m), q)
-        sparse = op.sparse(rows, cols, lp.T[rows, cols])
-        np.testing.assert_allclose(sparse, op(lp.T), rtol=0.0, atol=1e-12)
+        C1, C2 = oracles.random_structure(rng, n), oracles.random_structure(rng, m)
+        sparse = _k_sparse(rows, cols, lp.T[rows, cols], C1, C2, q)
+        np.testing.assert_allclose(sparse, _k_dense(lp.T, C1, C2, q), rtol=0.0, atol=1e-12)
 
     def test_sparse_memory_is_bounded(self):
         # At n = 2, m = 2000 the 2001 vertex entries would take an
@@ -539,20 +522,19 @@ class TestStructureOperator:
         rows, cols = np.nonzero(lp.T)
         values = lp.T[rows, cols]
         assert rows.size > 2 * (2**22 // (n * m + n + m))  # three pieces
-        op = StructureOperator(oracles.random_structure(rng, n),
-                               oracles.random_structure(rng, m), 1.0)
+        C1, C2 = oracles.random_structure(rng, n), oracles.random_structure(rng, m)
         tracemalloc.start()
         try:
-            K = op.sparse(rows, cols, values)
+            K = _k_sparse(rows, cols, values, C1, C2, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 40e6
-        np.testing.assert_allclose(K, op(lp.T), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(K, _k_dense(lp.T, C1, C2, 1.0), rtol=0.0, atol=1e-12)
 
     def test_alternating_solve_memory_is_bounded(self):
         # At n = m = 45 and q = 1 the whole difference block would be
-        # 45**4 doubles (32.8 MB); the operator keeps none, and its 1 MiB
+        # 45**4 doubles (32.8 MB); no solve keeps one, and K's 1 MiB
         # pieces keep the solve, across outer iterations and restarts,
         # under 4 MB.
         rng = np.random.default_rng(23)

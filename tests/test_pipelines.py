@@ -248,15 +248,19 @@ class TestRocSweep:
     def test_supported_modes_only(self):
         spec = SyntheticSpec(n=12, d=6, k=2, geo_radius=0.45)
         with pytest.raises(InvalidConfig):
-            roc_sweep(spec, "simplex", [0.3])
+            roc_sweep(spec, FsFgwConfig(mode="simplex"), [0.3])
+        with pytest.raises(InvalidConfig):
+            roc_sweep(spec, FsFgwConfig(mode="lasso", lam=0.1), [0.3])
 
     def test_needs_a_proper_planted_set(self):
         with pytest.raises(EmptySet):
-            roc_sweep(SyntheticSpec(n=12, d=6, k=0, geo_radius=0.45), "lasso", [0.3])
+            roc_sweep(SyntheticSpec(n=12, d=6, k=0, geo_radius=0.45),
+                      FsFgwConfig(mode="lasso", suppression_fraction=0.3), [0.3])
 
     def test_small_sweep(self):
         spec = SyntheticSpec(n=12, d=6, k=2, geo_radius=0.45, seed=3)
-        sweep = roc_sweep(spec, "lasso", [0.2, 0.5])
+        config = FsFgwConfig(mode="lasso", suppression_fraction=0.3, seed=spec.seed)
+        sweep = roc_sweep(spec, config, [0.2, 0.5])
         assert [p.fraction for p in sweep.points] == [0.2, 0.5]
         for p in sweep.points:
             assert 0.0 <= p.tpr <= 1.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsfgw.transport
 import oracles
 from fsfgw.core import FsfgwError, ShapeMismatch
 from fsfgw.transport import (
@@ -113,14 +114,16 @@ class TestSolveEmd:
         assert sol.value == pytest.approx(0.0, abs=1e-8)
         assert sol.T.sum() == pytest.approx(1.0, abs=1e-8)
 
-    def test_pivot_budget_enforced(self):
+    def test_pivot_budget_enforced(self, monkeypatch):
         # Non-uniform marginals keep this on the network simplex.  The
         # least-cost start fills (0, 0), then (1, 0), then must put 0.4 on
         # the cell of cost 10, so one pivot is needed and a zero budget
         # must trip the guard.
         cost = np.array([[1.0, 2.0], [1.0, 10.0]])
-        with pytest.raises(NumericalFailure):
-            solve_emd(cost, [0.4, 0.6], [0.6, 0.4], max_pivots=0)
+        assert solve_emd(cost, [0.4, 0.6], [0.6, 0.4]).iterations == 1
+        monkeypatch.setattr(fsfgw.transport, "_PIVOTS_PER_NODE", 0)
+        with pytest.raises(NumericalFailure, match="exceeded 0 pivots"):
+            solve_emd(cost, [0.4, 0.6], [0.6, 0.4])
 
 
 class TestAssignmentRoute:
