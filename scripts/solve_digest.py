@@ -25,12 +25,14 @@ then runs the first K batches of perfbench's ``redistrict-cluster``
 workload at seed 1 through ``fsfgw.cli.main`` with ``--workers`` 1, 2
 and 3, and adds the ``plan_distances.csv`` and ``dendrogram.json`` of
 the serial run to the digest; it exits non-zero if any worker count
-writes different bytes.  The pool caps its helpers at the usable CPUs,
-so for these runs the script's own process reports three
-(``os.sched_getaffinity``): ``--workers 3`` then starts two helper
-processes beside the calling one on any machine, three processes in all
-and no more.  The q = 2 products go through BLAS, so compare digests
-taken on one machine.
+writes different bytes.  Each batch then runs ``redistrict compare`` on
+its first two plans, with the workload's flags but ``--workers``, and
+adds that run's ``comparison.json`` and ``weight_heatmap.csv``.  The
+pool caps its helpers at the usable CPUs, so for these runs the script's
+own process reports three (``os.sched_getaffinity``): ``--workers 3``
+then starts two helper processes beside the calling one on any machine,
+three processes in all and no more.  The q = 2 products go through BLAS,
+so compare digests taken on one machine.
 """
 import argparse, contextlib, hashlib, importlib.util, io, os, sys, tempfile
 from pathlib import Path
@@ -105,6 +107,9 @@ if args.synth > 0:
 if args.plans > 0:
     os.sched_getaffinity = lambda pid: set(range(max(WORKERS)))
     cluster = perfbench_workload("redistrict-cluster")
+    # compare takes no --workers: argv[2:6] is the nodes, the edges and the first two plans.
+    w = cluster.flags.index("--workers")
+    compare_flags = cluster.flags[:w] + cluster.flags[w + 2 :]
     with tempfile.TemporaryDirectory() as tmp:
         batches = cluster.prepare(1, Path(tmp), args.plans)
         for b, batch in enumerate(batches):
@@ -121,4 +126,12 @@ if args.plans > 0:
                     if data[workers] != data[1]:
                         sys.exit(f"batch {b}: --workers 1 and {workers} wrote different {name}")
                 h.update(data[1])
+            out = Path(tmp) / f"out-{b}-compare"
+            argv = ["redistrict", "compare", *batch["argv"][2:6], *compare_flags,
+                    "--out", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                if fsfgw.cli.main(argv) != 0:
+                    sys.exit(f"batch {b}: redistrict compare failed")
+            for name in ("comparison.json", "weight_heatmap.csv"):
+                h.update((out / name).read_bytes())
 print(h.hexdigest())

@@ -40,7 +40,6 @@ from .fgw import InstanceTooLarge
 from .pipelines import (
     DisconnectedAfterRetries,
     PairwiseSolveError,
-    PlanCache,
     SyntheticSpec,
     compare_plans,
     complete_linkage_cluster,
@@ -93,11 +92,15 @@ def _config_dict(config: FsFgwConfig) -> dict:
 
 
 def _write_manifest(
-    out: Path, command: list[str], config: FsFgwConfig | None, inputs: list[str], seed: int
+    out: Path, command: list[str], config: FsFgwConfig | list[FsFgwConfig],
+    inputs: list[str], seed: int,
 ) -> None:
+    # A list of configs (one per swept mode) is recorded as a list, in order.
     doc = {
         "command": command,
-        "config": _config_dict(config) if config is not None else None,
+        "config": (
+            [_config_dict(c) for c in config] if isinstance(config, list) else _config_dict(config)
+        ),
         "input_paths": inputs,
         "output_dir": str(out),
         "seed": seed,
@@ -301,12 +304,15 @@ def cmd_synthetic_delta_sweep(args) -> int:
             rows.append([_g(delta), mode, _g(sep)])
             logger.info("delta %.3g mode %s separation %.4f", delta, mode, sep)
     _write_csv(out / "sweep.csv", ["delta", "mode", "separation"], rows)
-    _write_manifest(out, args.command_line, None, [], args.seed)
+    _write_manifest(out, args.command_line, configs, [], args.seed)
     print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
     return 0
 
 
 def cmd_synthetic_roc(args) -> int:
+    if args.fraction is not None:
+        raise InvalidConfig("synthetic roc sweeps the suppression fraction over --fracs; "
+                            "--f is not accepted")
     spec = _synthetic_spec(args)
     fractions = [float(v) for v in args.fracs.split(",") if v.strip()]
     config = _config_from_args(args)
@@ -354,7 +360,7 @@ def _load_plans(nodes, edges, plan_paths):
 def cmd_redistrict_compare(args) -> int:
     graph, (plan_p, plan_q) = _load_plans(args.nodes, args.edges, [args.plan_p, args.plan_q])
     config = _config_from_args(args)
-    comparison = compare_plans(graph, plan_p, plan_q, config)
+    (comparison,) = compare_plans(graph, [plan_p, plan_q], config)
     out = _out_dir(args)
     doc = {"plan_p": plan_p.plan_id, "plan_q": plan_q.plan_id}
     doc.update(comparison.to_json_dict())
@@ -387,15 +393,11 @@ def _plan_matrix(args):
     if len(plans) < 2:
         raise InvalidConfig("need at least two plans for a distance matrix")
     config = _config_from_args(args)
-    cache = PlanCache(graph, config, plans, args.workers)
-    logger.info("built %d of %d districts and ran %d of %d solves", *cache.counts)
-    # One compare_plans call per plan pair, looked up here, where perfbench's tracer wraps it.
-    N = len(plans)
-    D = np.zeros((N, N))
-    for i in range(N):
-        for j in range(i + 1, N):
-            comparison = compare_plans(graph, plans[i], plans[j], config, cache)
-            D[i, j] = D[j, i] = comparison.total_distance
+    # compare_plans is looked up here, where perfbench's tracer wraps it.
+    comparisons = compare_plans(graph, plans, config, args.workers)
+    D = np.zeros((len(plans), len(plans)))
+    i, j = np.triu_indices(len(plans), 1)
+    D[i, j] = D[j, i] = [c.total_distance for c in comparisons]
     out = _out_dir(args)
     _write_matrix(out / "plan_distances.csv", [p.plan_id for p in plans], D)
     _write_manifest(

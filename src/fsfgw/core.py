@@ -101,6 +101,14 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ShapeMismatch(f"{what} contains non-finite entries")
 
 
+def _check_q(q: float) -> None:
+    """Raise ``InvalidConfig`` unless the cost exponent ``q`` is finite
+    and >= 1 (nan fails both comparisons)."""
+
+    if not (1.0 <= q < np.inf):
+        raise InvalidConfig(f"q must be finite and >= 1, got {q}")
+
+
 @dataclass(frozen=True)
 class StructuredObject:
     """A structure cost matrix, a node measure, and node features.
@@ -321,8 +329,7 @@ class FsFgwConfig:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise InvalidConfig(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (1.0 <= self.q < np.inf):
-            raise InvalidConfig(f"q must be finite and >= 1, got {self.q}")
+        _check_q(self.q)
         if self.feature_norm not in FEATURE_NORMS:
             raise InvalidConfig(
                 f"feature_norm must be one of {FEATURE_NORMS}, got {self.feature_norm!r}"
@@ -439,8 +446,7 @@ def feature_cost_stack(
     """
 
     validate_pair(x, y)
-    if q < 1.0:
-        raise InvalidConfig(f"q must be >= 1, got {q}")
+    _check_q(q)
     if norm not in FEATURE_NORMS:
         raise InvalidConfig(f"norm must be one of {FEATURE_NORMS}, got {norm!r}")
     xt = np.ascontiguousarray(x.X.T)

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FsfgwError, ShapeMismatch
+from .core import FsfgwError, InvalidConfig, ShapeMismatch, _check_q
 from .transport import Basis, line_search_quadratic, solve_emd
 
 __all__ = [
@@ -91,6 +91,7 @@ def _checked(T, C1, C2, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ShapeMismatch(
             f"structure matrices {C1.shape}, {C2.shape} do not fit a {n}x{m} plan"
         )
+    _check_q(q)
     _check_size(n, m, q)
     return T, C1, C2
 
@@ -197,8 +198,10 @@ def gw_gradient(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -
 class FgwProblem:
     """The fixed half of a fused transport problem: structure matrices,
     trade-off ``alpha``, exponent ``q``, and the two marginals, checked
-    once, for every ``solve_fgw`` on the problem; at q != 2 beyond the
-    direct contraction's n * m cap it raises ``InstanceTooLarge``."""
+    once, for every ``solve_fgw`` on the problem.  ``alpha`` outside
+    [0, 1] or ``q`` not finite and >= 1 raises ``InvalidConfig``; at
+    q != 2 beyond the direct contraction's n * m cap it raises
+    ``InstanceTooLarge``."""
 
     C1: np.ndarray
     C2: np.ndarray
@@ -219,7 +222,8 @@ class FgwProblem:
                 f"marginals ({n},), ({m},)"
             )
         if not (0.0 <= self.alpha <= 1.0):
-            raise ShapeMismatch(f"alpha must lie in [0, 1], got {self.alpha}")
+            raise InvalidConfig(f"alpha must lie in [0, 1], got {self.alpha}")
+        _check_q(self.q)
         for name, arr in (("C1", C1), ("C2", C2), ("a", a), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise ShapeMismatch(f"{name} contains non-finite entries")

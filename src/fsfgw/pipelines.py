@@ -7,8 +7,8 @@ between the two objects.  Redistricting plans are compared district by
 district after an exact minimum-Hamming assignment, with population-
 normalized measures and hop-count geodesics inside each district.
 
-Redistricting settles its solves in a ``PlanCache`` (one per distinct
-district pair of the plans compared) before ``compare_plans`` reads them.
+``compare_plans`` compares every pair of a list of plans in one pass: it
+matches each plan pair once and solves each distinct district pair once.
 Those solves and the pairs of ``pairwise_distance_matrix`` run in
 ``_ordered_map``, the one process pool: with ``workers`` N, the calling
 process and N - 1 helper processes, no more than the usable CPUs, take
@@ -76,7 +76,6 @@ __all__ = [
     "district_object",
     "match_districts",
     "PlanComparison",
-    "PlanCache",
     "compare_plans",
     "load_structured_object",
     "structured_object_to_dict",
@@ -725,82 +724,68 @@ def _solve_districts(x, y, config):
     return solve_fsfgw(x, y, config)
 
 
-class PlanCache:
-    """Every solve that comparing ``plans`` needs, settled at construction:
-    each plan pair (i < j, row-major) is matched, each district (keyed on
-    its sorted precinct indices) built once and each unordered district pair
-    solved once, in first-seen order and orientation, through
-    ``_ordered_map`` with ``workers``.  ``counts`` holds the districts built
-    and asked for, then the solves run and asked for."""
-
-    def __init__(self, graph: PrecinctGraph, config: FsFgwConfig,
-                 plans: Sequence[RedistrictingPlan], workers: int = 1) -> None:
-        self.graph, self.config = graph, config
-        districts, first, matched = {}, {}, []  # first: unordered pair -> first orientation
-        for i, plan_p in enumerate(plans):
-            for plan_q in plans[i + 1 :]:
-                for label_p, label_q in match_districts(plan_p, plan_q):
-                    keys = _district_key(plan_p, label_p), _district_key(plan_q, label_q)
-                    for key in keys:
-                        if key not in districts:
-                            districts[key] = district_object(graph, key)
-                    pair = frozenset(keys)
-                    matched.append((label_p, label_q, pair, pair in first))
-                    first.setdefault(pair, keys)
-        tasks = [(districts[kp], districts[kq], config) for kp, kq in first.values()]
-        self.results = dict(zip(first.values(), _ordered_map(_solve_districts, tasks, workers)))
-        for label_p, label_q, pair, reused in matched:
-            logger.info("district pair (%d, %d): objective %.6g, %s", label_p, label_q,
-                        self.results[first[pair]].objective, "reused" if reused else "solved")
-        self.counts = (len(districts), 2 * len(matched), len(first), len(matched))
-
-    def result(self, kp: tuple[int, ...], kq: tuple[int, ...]) -> SolveResult:
-        """The solve of districts (kp, kq); a pair held the other way round
-        comes back with its plan transposed."""
-        if (kp, kq) in self.results:
-            return self.results[kp, kq]
-        if (kq, kp) not in self.results:
-            raise InvalidConfig("the plan cache was not built from these plans")
-        r = self.results[kq, kp]
-        plan = TransportPlan(r.plan.T.T, r.plan.col_marginal, r.plan.row_marginal)
-        return replace(r, plan=plan)
-
-
 def compare_plans(
     graph: PrecinctGraph,
-    plan_p: RedistrictingPlan,
-    plan_q: RedistrictingPlan,
+    plans: Sequence[RedistrictingPlan],
     config: FsFgwConfig,
-    cache: PlanCache | None = None,
-) -> PlanComparison:
-    """Read one suppression-transport solve per matched district pair.
+    workers: int = 1,
+) -> list[PlanComparison]:
+    """One district-matched comparison per plan pair (i < j, row-major).
 
-    Both plans must cover the graph's precinct universe.  The total
-    distance is the sum of matched-pair objectives; the weight matrix
-    stacks each pair's suppression weights (one row per matched pair, in
-    matching order).  The solves come from ``cache``, built from both
-    plans on this graph and config, or from a new ``PlanCache`` of the two;
-    a swapped hit has its plan transposed, the same bits as a new solve.
+    Every plan must cover the graph's precinct universe.  Each plan pair
+    is matched once; each district (keyed on its sorted precinct indices)
+    is built once and each unordered matched district pair solved once, in
+    first-seen order and orientation, through ``_ordered_map`` with
+    ``workers``.  A pair met the other way round gets the stored result
+    with its plan transposed, the same bits as a new solve.  A
+    comparison's total distance is the sum of its matched-pair objectives;
+    its weight matrix stacks each pair's suppression weights (one row per
+    matched pair, in matching order).
     """
 
-    if plan_p.P != graph.P or plan_q.P != graph.P:
-        raise PrecinctUniverseMismatch(
-            f"plans cover {plan_p.P}/{plan_q.P} precincts, graph has {graph.P}"
-        )
-    cache = cache or PlanCache(graph, config, (plan_p, plan_q))
-    if cache.graph is not graph or cache.config != config:
-        raise InvalidConfig("the plan cache belongs to another graph or config")
-    matching = match_districts(plan_p, plan_q)
-    results = [cache.result(_district_key(plan_p, lp), _district_key(plan_q, lq))
-               for lp, lq in matching]
-    weight_matrix = np.array([r.weights.w for r in results])
-    return PlanComparison(
-        matching=tuple(matching),
-        per_district=tuple(results),
-        total_distance=float(sum(r.objective for r in results)),
-        mean_weights=weight_matrix.mean(axis=0),
-        weight_matrix=weight_matrix,
-    )
+    for plan in plans:
+        if plan.P != graph.P:
+            raise PrecinctUniverseMismatch(
+                f"plan {plan.plan_id!r} covers {plan.P} precincts, graph has {graph.P}"
+            )
+    districts, first, matched = {}, {}, []  # first: unordered pair -> first orientation
+    for i, plan_p in enumerate(plans):
+        for plan_q in plans[i + 1 :]:
+            rows = []
+            for label_p, label_q in match_districts(plan_p, plan_q):
+                keys = _district_key(plan_p, label_p), _district_key(plan_q, label_q)
+                for key in keys:
+                    if key not in districts:
+                        districts[key] = district_object(graph, key)
+                rows.append((label_p, label_q, keys, frozenset(keys) in first))
+                first.setdefault(frozenset(keys), keys)
+            matched.append(rows)
+    tasks = [(districts[kp], districts[kq], config) for kp, kq in first.values()]
+    solved = dict(zip(first.values(), _ordered_map(_solve_districts, tasks, workers)))
+    comparisons = []
+    for rows in matched:
+        results = []
+        for label_p, label_q, (kp, kq), reused in rows:
+            r = solved.get((kp, kq))
+            if r is None:
+                r = solved[kq, kp]
+                r = replace(r, plan=TransportPlan(r.plan.T.T, r.plan.col_marginal,
+                                                  r.plan.row_marginal))
+            logger.info("district pair (%d, %d): objective %.6g, %s", label_p, label_q,
+                        r.objective, "reused" if reused else "solved")
+            results.append(r)
+        weight_matrix = np.array([r.weights.w for r in results])
+        comparisons.append(PlanComparison(
+            matching=tuple((lp, lq) for lp, lq, _, _ in rows),
+            per_district=tuple(results),
+            total_distance=float(sum(r.objective for r in results)),
+            mean_weights=weight_matrix.mean(axis=0),
+            weight_matrix=weight_matrix,
+        ))
+    asked = sum(map(len, matched))
+    logger.info("built %d of %d districts and ran %d of %d solves",
+                len(districts), 2 * asked, len(first), asked)
+    return comparisons
 
 
 # ---------------------------------------------------------------------------

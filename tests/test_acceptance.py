@@ -407,7 +407,7 @@ def test_12_planted_plan_localization(capsys):
     plan_p = RedistrictingPlan(plan_id="p", assignment=assign_p)
     plan_q = RedistrictingPlan(plan_id="q", assignment=assign_q)
     config = FsFgwConfig(mode="lasso", lam=0.05)
-    comparison = compare_plans(graph, plan_p, plan_q, config)
+    (comparison,) = compare_plans(graph, [plan_p, plan_q], config)
 
     failures = []
     affected = {(2, 2), (3, 3)}

@@ -317,6 +317,18 @@ class TestSyntheticCommands:
             ("0.5", "lasso"), ("0.5", "simplex"), ("2", "lasso"), ("2", "simplex")
         ]
 
+    def test_delta_sweep_manifest_records_each_mode_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["synthetic", "delta-sweep", "--n", "16", "--d", "6", "--k", "2",
+             "--radius", "0.45", "--deltas", "1.0", "--modes", "lasso",
+             "--max-outer-iter", "1", "--out", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        configs = json.loads((out / "manifest.json").read_text())["config"]
+        assert [(c["mode"], c["max_outer_iter"]) for c in configs] == [("lasso", 1)]
+
     def test_delta_range_syntax(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -368,6 +380,9 @@ class TestSyntheticCommands:
         assert (config["mode"], config["max_outer_iter"]) == ("lasso", 1)
         # A fixed level would make every point of the sweep the same solve.
         assert main(argv + ["--lambda", "0.1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+        # The sweep replaces the fraction at every point of --fracs.
+        assert main(argv + ["--f", "0.9"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
         assert main(argv + ["--groups", str(tmp_path / "absent.json")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"

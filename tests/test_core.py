@@ -252,6 +252,12 @@ class TestFeatureCostStack:
         assert stack.shape == (1, 2, 1)
         assert np.array_equal(stack[0], [[1.0], [0.0]])
 
+    @pytest.mark.parametrize("q", [np.nan, np.inf, 0.5])
+    def test_q_must_be_finite_and_at_least_one(self, q):
+        x = StructuredObject(C=np.zeros((2, 2)), a=[0.5, 0.5], X=[[0.0], [1.0]])
+        with pytest.raises(InvalidConfig, match="q must be finite and >= 1"):
+            feature_cost_stack(x, x, q=q)
+
     def test_constant_columns_give_zeros(self):
         X = np.tile([2.0, -1.0], (3, 1))
         x = StructuredObject(C=np.zeros((3, 3)), a=np.full(3, 1 / 3), X=X)

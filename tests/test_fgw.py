@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fsfgw.core import FsFgwConfig, ShapeMismatch, StructuredObject, feature_cost_stack
+from fsfgw.core import (
+    FsFgwConfig,
+    InvalidConfig,
+    ShapeMismatch,
+    StructuredObject,
+    feature_cost_stack,
+)
 import fsfgw.fgw
 from fsfgw.fgw import (
     FgwProblem,
@@ -255,11 +261,20 @@ class TestFgwObjective:
                 ),
                 np.zeros((2, 2)),
             )
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidConfig):
             FgwProblem(
                 C1=np.zeros((2, 2)), C2=np.zeros((2, 2)),
                 alpha=1.5, q=2.0, a=np.full(2, 0.5), b=np.full(2, 0.5),
             )
+
+    @pytest.mark.parametrize("q", [np.nan, np.inf, 0.5])
+    def test_q_must_be_finite_and_at_least_one(self, q):
+        C, a, T = np.array([[0.0, 1.0], [1.0, 0.0]]), np.full(2, 0.5), np.eye(2) / 2
+        with pytest.raises(InvalidConfig, match="q must be finite and >= 1"):
+            FgwProblem(C1=C, C2=C, alpha=0.5, q=q, a=a, b=a)
+        for apply in (gw_value, gw_gradient):
+            with pytest.raises(InvalidConfig, match="q must be finite and >= 1"):
+                apply(T, C, C, q)
 
 
 class TestSolveFgw:

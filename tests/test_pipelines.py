@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -29,7 +30,6 @@ from fsfgw.pipelines import (
     InvalidObjectFile,
     Merge,
     PairwiseSolveError,
-    PlanCache,
     PrecinctGraph,
     PrecinctUniverseMismatch,
     RedistrictingPlan,
@@ -511,7 +511,7 @@ class TestDistrictsAndMatching:
 class TestComparePlans:
     def test_identical_plans_have_negligible_distance(self):
         graph, plan_p, _, _ = band_fixture()
-        comparison = compare_plans(graph, plan_p, plan_p, QUICK)
+        (comparison,) = compare_plans(graph, [plan_p, plan_p], QUICK)
         assert comparison.matching == ((1, 1), (2, 2), (3, 3))
         assert comparison.total_distance <= 3e-8
         assert comparison.weight_matrix.shape == (3, graph.d)
@@ -521,7 +521,7 @@ class TestComparePlans:
 
     def test_moved_precinct_shows_up_in_the_matched_pairs(self):
         graph, plan_p, plan_q, moved = band_fixture()
-        comparison = compare_plans(graph, plan_p, plan_q, QUICK)
+        (comparison,) = compare_plans(graph, [plan_p, plan_q], QUICK)
         assert comparison.matching == ((1, 1), (2, 2), (3, 3))
         assert comparison.total_distance > 1e-6
         per_pair = [r.objective for r in comparison.per_district]
@@ -530,7 +530,7 @@ class TestComparePlans:
         assert max(per_pair[1], per_pair[2]) > 1e-6
 
     def test_shared_cache_builds_each_district_and_solves_each_pair_once(
-        self, monkeypatch
+        self, monkeypatch, caplog
     ):
         graph, plan_p, plan_q, _ = band_fixture()
         built, solved = [], []
@@ -541,12 +541,12 @@ class TestComparePlans:
         monkeypatch.setattr(
             pipelines, "solve_fsfgw", lambda x, y, c: solved.append(1) or solve(x, y, c)
         )
+        caplog.set_level(logging.INFO, logger="fsfgw")
         # The plan pairs of [p, q, p] are (p, q), (p, p) and (q, p).  District
         # 1 is the same in both plans, so every comparison matches it with
         # itself; (q, p) meets districts 2 and 3 swapped.
-        cache = PlanCache(graph, QUICK, [plan_p, plan_q, plan_p])
-        runs = [(plan_p, plan_q), (plan_q, plan_p), (plan_p, plan_p)]
-        pq, qp, _ = [compare_plans(graph, a, b, QUICK, cache) for a, b in runs]
+        pq, _, qp = compare_plans(graph, [plan_p, plan_q, plan_p], QUICK)
+        runs = [(plan_p, plan_q), (plan_p, plan_p), (plan_q, plan_p)]
 
         def key(plan, label):
             return tuple(np.flatnonzero(plan.assignment == label).tolist())
@@ -560,7 +560,9 @@ class TestComparePlans:
         assert (len(districts), len(pairs)) == (5, 5)
         assert sorted(built) == sorted(districts)
         assert len(solved) == len(pairs)
-        assert list(cache.counts) == [5, 18, 5, 9]
+        assert caplog.records[-1].getMessage() == (
+            "built 5 of 18 districts and ran 5 of 9 solves"
+        )
 
         x, y = district_object(graph, key(plan_q, 2)), district_object(graph, key(plan_p, 2))
         direct = solve(x, y, QUICK)
@@ -576,24 +578,22 @@ class TestComparePlans:
         assert np.array_equal(hit.weights.w, direct.weights.w)
         assert np.array_equal(hit.scores, direct.scores)
 
-    def test_cache_of_another_config_is_rejected(self):
+    def test_each_plan_pair_is_matched_once(self, monkeypatch):
         graph, plan_p, plan_q, _ = band_fixture()
-        cache = PlanCache(graph, FsFgwConfig(mode="lasso", lam=0.1), (plan_p, plan_q))
-        with pytest.raises(InvalidConfig, match="another graph or config"):
-            compare_plans(graph, plan_p, plan_q, QUICK, cache)
-
-    def test_cache_of_other_plans_is_rejected(self):
-        graph, plan_p, plan_q, _ = band_fixture()
-        # District 1 of p and q is the same, so only pairs 2 and 3 are missing.
-        cache = PlanCache(graph, QUICK, (plan_p, plan_p))
-        with pytest.raises(InvalidConfig, match="not built from these plans"):
-            compare_plans(graph, plan_p, plan_q, QUICK, cache)
+        calls = []
+        match = pipelines.match_districts
+        monkeypatch.setattr(
+            pipelines, "match_districts", lambda a, b: calls.append((a, b)) or match(a, b)
+        )
+        plans = [plan_p, plan_q, plan_p]
+        assert len(compare_plans(graph, plans, QUICK)) == 3
+        assert [(a.plan_id, b.plan_id) for a, b in calls] == [("p", "q"), ("p", "p"), ("q", "p")]
 
     def test_plan_must_cover_the_graph(self):
         graph, plan_p, _, _ = band_fixture()
         short = RedistrictingPlan(plan_id="s", assignment=plan_p.assignment[:-1])
         with pytest.raises(PrecinctUniverseMismatch):
-            compare_plans(graph, short, short, QUICK)
+            compare_plans(graph, [short, short], QUICK)
 
 
 class TestObjectFiles:
