@@ -3,9 +3,10 @@
 
     python3 scripts/bench_json.py TAG [--root CHECKOUT]
 
-Every file uses seed 1 and 30 s runs.  Files written at different times can
-differ with the machine's speed, so a change is shown by runs of both commits
-made back to back.
+The workloads and the run length (``run_seconds``) come from the measured
+checkout's BENCHMARK.json, and every run uses seed 1.  Files written at
+different times can differ with the machine's speed, so a change is shown by
+runs of both commits made back to back.
 The file names the tree it measured: ``dirty`` is whether the checkout had
 uncommitted changes (``git status --porcelain``) and ``diff_sha256`` is the
 SHA-256 of its ``git diff HEAD``, both read before the runs; both are null
@@ -17,12 +18,13 @@ import argparse, hashlib, json, subprocess, sys
 from pathlib import Path
 
 SEED = 1
-SECONDS = 30.0
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("tag")
 parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="checkout to benchmark (default: this one)")
 args = parser.parse_args()
+bench = json.loads((args.root / "BENCHMARK.json").read_text())
+seconds = bench["run_seconds"]
 
 
 def git(*argv) -> bytes:
@@ -34,12 +36,12 @@ try:
     diff_sha256 = hashlib.sha256(git("diff", "--no-ext-diff", "HEAD")).hexdigest()
 except (OSError, subprocess.CalledProcessError):
     dirty = diff_sha256 = None
-doc = {"seed": SEED, "seconds": SECONDS, "dirty": dirty, "diff_sha256": diff_sha256,
+doc = {"seed": SEED, "seconds": seconds, "dirty": dirty, "diff_sha256": diff_sha256,
        "environment": None, "results": []}
-for workload in ("synth-uniform", "redistrict-cluster", "pairwise-q1-pool"):
+for workload in (w["name"] for w in bench["workloads"]):
     for trace in (0, 1):
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-               str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+               str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
         out = subprocess.run(cmd, cwd=args.root, capture_output=True, text=True, check=True)
         env_line, result_line = out.stdout.strip().splitlines()[-2:]
         result = json.loads(result_line)

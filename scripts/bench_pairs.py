@@ -14,13 +14,20 @@ confirmed on seeds that were not used while writing the change.
 workloads; a name BENCHMARK.json does not list exits 2 before any run.  A run
 whose result is not ``correct`` stops the script with a non-zero exit.
 For every workload and metric it prints the parent's median and
-quartiles, the change's median and the number of pairs the change wins
-(ties count for neither side).
+quartiles, the change's median, the number of pairs the change wins
+(ties count for neither side) and a verdict:
+
+* ``gain``: the change wins at least 9 of the 10 pairs, and its median is
+  better than the parent's by more than the parent's quartile spread;
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's relative ``bound`` in BENCHMARK.json;
+* ``unresolved``: anything else.
 """
 import argparse, json, statistics, subprocess, sys
 from pathlib import Path
 
 PAIRS = 10
+GAIN_WINS = 9
 ROOT = Path(__file__).resolve().parent.parent
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("parent", type=Path)
@@ -61,6 +68,14 @@ for workload in workloads:
         sign = 1.0 if metric["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
         q1, _, q3 = statistics.quantiles(parent, n=4)
-        print(f"{workload} {name}: parent median {statistics.median(parent):.6g} "
-              f"(quartiles {q1:.6g}, {q3:.6g}), change median "
-              f"{statistics.median(change):.6g}, change wins {wins}/{PAIRS}", flush=True)
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        gained = sign * (p_med - c_med)  # how much better the change's median is
+        if wins >= GAIN_WINS and gained > q3 - q1:
+            verdict = "gain"
+        elif -gained > metric["bound"] * abs(p_med):
+            verdict = "worse"
+        else:
+            verdict = "unresolved"
+        print(f"{workload} {name}: parent median {p_med:.6g} (quartiles {q1:.6g}, "
+              f"{q3:.6g}), change median {c_med:.6g}, change wins {wins}/{PAIRS}: "
+              f"{verdict}", flush=True)

@@ -120,34 +120,45 @@ class InvalidObjectFile(FsfgwError):
 # graph helpers
 
 
+def _node_count(value) -> int:
+    # JSON true is a Python int, and int() would truncate 2.5 or parse "3".
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def geodesic_structure(
     adjacency: Sequence[tuple[int, int]], nodes: Sequence[int]
 ) -> np.ndarray:
     """Hop-count geodesic matrix of the subgraph induced by ``nodes``,
     divided by its maximum (a single node yields [[0]]).
 
-    Raises ``DisconnectedDistrict`` naming the components when the induced
-    subgraph is disconnected.
+    Node and edge values must be integers (a bool, float or string raises
+    ``ShapeMismatch``).  Raises ``DisconnectedDistrict`` naming the
+    components when the induced subgraph is disconnected.
     """
 
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, shortest_path
 
-    nodes = [int(v) for v in nodes]
-    if len(nodes) == 0:
-        raise ShapeMismatch("cannot build a geodesic matrix on zero nodes")
-    if len(set(nodes)) != len(nodes):
-        raise ShapeMismatch("induced node set contains duplicates")
-    local = {v: i for i, v in enumerate(nodes)}
+    try:
+        nodes = [_node_count(v) for v in nodes]
+        local = {v: i for i, v in enumerate(nodes)}
+        rows, cols = [], []
+        for i, j in adjacency:
+            if type(i) is not int or type(j) is not int:  # skips a call per plain int
+                i, j = _node_count(i), _node_count(j)
+            if i in local and j in local and i != j:
+                rows.append(local[i])
+                cols.append(local[j])
+    except TypeError as exc:
+        raise ShapeMismatch(f"node and edge values must be integers: {exc}") from exc
     k = len(nodes)
-    edges = [
-        (local[i], local[j])
-        for i, j in adjacency
-        if i in local and j in local and i != j
-    ]
-    rows = [i for i, _ in edges]
-    cols = [j for _, j in edges]
-    graph = csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(k, k))
+    if k == 0:
+        raise ShapeMismatch("cannot build a geodesic matrix on zero nodes")
+    if len(local) != k:
+        raise ShapeMismatch("induced node set contains duplicates")
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(k, k))
     C = shortest_path(graph, directed=False, unweighted=True)
     if not np.all(np.isfinite(C)):
         count, labels = connected_components(graph, directed=False)
@@ -588,7 +599,10 @@ class PrecinctGraph:
         seen = set()
         edges = []
         for i, j in self.adjacency:
-            i, j = int(i), int(j)
+            try:
+                i, j = _node_count(i), _node_count(j)
+            except TypeError as exc:
+                raise InvalidObjectFile(f"edge ({i!r}, {j!r}): {exc}") from exc
             if i == j:
                 raise InvalidObjectFile(f"self-loop on precinct index {i}")
             if not (0 <= i < P and 0 <= j < P):
@@ -813,13 +827,6 @@ def structured_object_to_dict(obj: StructuredObject) -> dict:
     if obj.feature_names is not None:
         out["feature_names"] = list(obj.feature_names)
     return out
-
-
-def _node_count(value) -> int:
-    # JSON true is a Python int, and int() would truncate 2.5 or parse "3".
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def load_structured_object(source: dict | str | Path) -> StructuredObject:

@@ -18,9 +18,11 @@ input:
   start is a basis that an earlier call returned for the same marginal
   arrays: a feasible basis stays feasible when only the cost changes, so
   a warm start skips the pivots that the cost change left in place
-  (Ahuja, Magnanti & Orlin 1993, *Network Flows*, ch. 11), and keeps its
-  spanning tree.  After each pivot only the subtree that the leaving arc
-  cuts off is re-hung and gets new potentials.
+  (Ahuja, Magnanti & Orlin 1993, *Network Flows*, ch. 11).  Either way
+  the basis is its n + m - 1 arcs, which fix the spanning tree rooted at
+  row node 0; every call hangs that tree from its arcs and sets the node
+  potentials from the arc costs.  After each pivot only the subtree that
+  the leaving arc cuts off is re-hung and gets new potentials.
 
 Determinism: the plan is a function of (cost, a, b, basis), and a cold
 start is a function of (cost, a, b).  When costs are degenerate, which
@@ -84,7 +86,7 @@ class NumericalFailure(FsfgwError):
 
 class InvalidBasis(FsfgwError):
     """A starting basis is not one that ``solve_emd`` returned for these
-    marginal arrays, or a cold start is not a spanning tree."""
+    marginal arrays, or the basis arcs are not a spanning tree."""
 
 
 Basis = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -98,11 +100,12 @@ class LpSolution:
     ``T`` is the solver's own read-only n x m plan, not re-checked: it is
     nonnegative and carries the marginals by construction.
     ``iterations`` counts network-simplex pivots; it is 0 when the
-    assignment route solved the LP.  ``basis`` is the final spanning tree
-    as read-only ``(arc_row, arc_col, arc_flow)`` arrays of n + m - 1 arcs;
-    passed back to ``solve_emd`` with the same read-only marginal arrays,
-    it warm-starts the next solve from its tree.  The plan is a function
-    of (cost, a, b, basis).  The assignment route returns no basis.
+    assignment route solved the LP.  ``basis`` is the final basis as
+    read-only ``(arc_row, arc_col, arc_flow)`` arrays of n + m - 1 arcs,
+    which fix its spanning tree; passed back to ``solve_emd`` with the
+    same read-only marginal arrays, it warm-starts the next solve from
+    those arcs.  The plan is a function of (cost, a, b, basis).  The
+    assignment route returns no basis.
     """
 
     T: np.ndarray
@@ -159,8 +162,7 @@ def _least_cost_start(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
 class _Basis(tuple):
     """A basis that ``solve_emd`` returned: the ``(arc_row, arc_col,
     arc_flow)`` tuple, plus ``marginals``, the marginal arguments of that
-    call, and ``tree``, its spanning tree hung from row node 0 as
-    ``(parent, parent_arc, depth, adjacency)`` lists."""
+    call.  The arcs are the whole basis: they fix its spanning tree."""
 
 
 def _trusted(basis, a, b, n: int, m: int) -> bool:
@@ -199,10 +201,10 @@ def solve_emd(
 
     ``basis`` is an ``LpSolution.basis`` that this function returned for
     the very same read-only arrays ``a`` and ``b`` (``is``); anything else
-    raises ``InvalidBasis``.  The simplex starts from its spanning tree,
-    which is reused, not changed, and the marginal checks of that earlier
-    call stand.  On degenerate costs a warm start may end at a different
-    optimal vertex than a cold start, with the same value.
+    raises ``InvalidBasis``.  The simplex starts from the spanning tree of
+    its arcs, which are copied, not changed, and the marginal checks of
+    that earlier call stand.  On degenerate costs a warm start may end at
+    a different optimal vertex than a cold start, with the same value.
     """
 
     cost = np.ascontiguousarray(cost, dtype=float)
@@ -257,25 +259,18 @@ def solve_emd(
     max_pivots = _PIVOTS_PER_NODE * (n_nodes + 5)
     bland_after = 20 * n_nodes + 200
 
-    # Tree rooted at row node 0, and the node potentials (u, then v) with
-    # pot[0] = 0 and cost = pot[row] + pot[col] on every basic arc.
+    # The basis arcs hung from row node 0, and the node potentials (u, then
+    # v) with pot[0] = 0 and cost = pot[row] + pot[col] on every basic arc.
+    # The arcs fix the tree, so a warm start gets the tree its basis ended
+    # with, and the arc costs fix the potentials.
+    adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
+    for arc, (i, end_sum) in enumerate(zip(arc_row.tolist(), ends)):
+        adjacency[i].append(arc)
+        adjacency[end_sum - i].append(arc)
+    parent = [-1] * n_nodes
+    parent_arc = [-1] * n_nodes
+    depth = [0] * n_nodes
     pot = [0.0] * n_nodes
-    if basis is not None:
-        # A copy of the basis's tree, so the basis stays reusable.  Only
-        # the arc costs changed: the potentials are set parents first, by
-        # the rule ``hang`` uses, so they are the same bits.
-        parent, parent_arc, depth = (nodes[:] for nodes in basis.tree[:3])
-        adjacency = [arcs[:] for arcs in basis.tree[3]]
-        for node in np.argsort(depth, kind="stable").tolist()[1:]:
-            pot[node] = arc_cost[parent_arc[node]] - pot[parent[node]]
-    else:
-        adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
-        for arc, (i, end_sum) in enumerate(zip(arc_row.tolist(), ends)):
-            adjacency[i].append(arc)
-            adjacency[end_sum - i].append(arc)
-        parent = [-1] * n_nodes
-        parent_arc = [-1] * n_nodes
-        depth = [0] * n_nodes
 
     def hang(root: int, above: int, arc: int) -> int:
         """Hang the subtree holding ``root`` below node ``above`` through
@@ -310,8 +305,8 @@ def solve_emd(
                     stack.append(other)
         return placed + len(stack)
 
-    if basis is None and hang(0, -1, -1) != n_nodes:
-        raise InvalidBasis("the least-cost start is not a spanning tree")
+    if hang(0, -1, -1) != n_nodes:
+        raise InvalidBasis("the basis arcs are not a spanning tree")
 
     pivots = 0
     while True:
@@ -400,7 +395,6 @@ def solve_emd(
         part.setflags(write=False)
     final = _Basis((arc_row, arc_col, arc_flow))
     final.marginals = given
-    final.tree = (parent, parent_arc, depth, adjacency)
     return LpSolution(T=T, value=value, iterations=pivots, basis=final)
 
 

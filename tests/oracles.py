@@ -49,11 +49,10 @@ def emd_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
 def checked_basis(arcs, a: np.ndarray, b: np.ndarray):
     """A warm start for ``solve_emd`` built from a plain ``(arc_row,
     arc_col, arc_flow)`` tuple: after checking that its n + m - 1 arcs lie
-    in the grid and carry the read-only marginals ``a`` and ``b`` on a
-    spanning tree, hang that tree afresh from row node 0, as the solver
-    does for a cold start, and return it as the basis the solver would
-    have returned for these arrays.  A warm solve from it is the reference
-    for one from a basis whose tree the solver kept."""
+    in the grid, carry the read-only marginals ``a`` and ``b``, and span
+    every node without a cycle (a traversal from row node 0), return them
+    as the basis the solver would have returned for these arrays.  A warm
+    solve from it is the reference for one from a returned basis."""
 
     from fsfgw.transport import _Basis
 
@@ -73,7 +72,7 @@ def checked_basis(arcs, a: np.ndarray, b: np.ndarray):
     for k, i in enumerate(arc_row.tolist()):
         adjacency[i].append(k)
         adjacency[ends[k] - i].append(k)
-    parent, parent_arc, depth = [-1] * (n + m), [-1] * (n + m), [0] * (n + m)
+    parent_arc = [-1] * (n + m)
     reached, stack = {0}, [0]
     while stack:
         node = stack.pop()
@@ -82,12 +81,11 @@ def checked_basis(arcs, a: np.ndarray, b: np.ndarray):
             if k != parent_arc[node]:
                 assert other not in reached, "the basis arcs hold a cycle"
                 reached.add(other)
-                parent[other], parent_arc[other], depth[other] = node, k, depth[node] + 1
+                parent_arc[other] = k
                 stack.append(other)
     assert len(reached) == n + m, "the basis arcs do not span every node"
     basis = _Basis((arc_row, arc_col, arc_flow))
     basis.marginals = (a, b)
-    basis.tree = (parent, parent_arc, depth, adjacency)
     return basis
 
 

@@ -115,6 +115,26 @@ class TestGeodesicStructure:
         with pytest.raises(ShapeMismatch):
             geodesic_structure([(0, 1)], [0, 0])
 
+    @pytest.mark.parametrize(
+        "edges, nodes, bad",
+        [
+            ([(0, 1), (1, 2)], [0, 1.7, 2], "1.7"),  # int() would read node 1
+            ([(0, 1.2), (1, 2)], [0, 1, 2], "1.2"),  # int() would drop the edge
+            ([(0, 1), (1, 2)], [0, True, 2], "True"),
+            ([(0, "1"), (1, 2)], [0, 1, 2], "'1'"),
+            ([(0, 1), (1, 2)], [0, 1, 2.0], "2.0"),
+        ],
+        ids=["fraction-node", "fraction-edge", "bool-node", "string-edge", "float-node"],
+    )
+    def test_node_and_edge_values_must_be_integers(self, edges, nodes, bad):
+        with pytest.raises(ShapeMismatch, match=f"got {bad}"):
+            geodesic_structure(edges, nodes)
+
+    def test_numpy_integers_are_integers(self):
+        nodes = np.arange(3)
+        C = geodesic_structure([(nodes[0], nodes[1]), (1, 2)], nodes)
+        assert np.array_equal(C, geodesic_structure([(0, 1), (1, 2)], [0, 1, 2]))
+
 
 class TestGenerateSyntheticPair:
     def test_shapes_and_planted_set(self):
@@ -798,6 +818,15 @@ class TestPrecinctCsvs:
             PrecinctGraph(
                 precinct_ids=("a", "b"), adjacency=((0, 5),),
                 features=np.zeros((2, 1)), population=np.ones(2), feature_names=("v0",),
+            )
+
+    @pytest.mark.parametrize("bad", [1.7, True, "1"], ids=["fraction", "bool", "string"])
+    def test_edge_endpoints_must_be_integers(self, bad):
+        # int() would store (0, 1) for 1.7 and True, and parse "1".
+        with pytest.raises(InvalidObjectFile, match="expected an integer"):
+            PrecinctGraph(
+                precinct_ids=("a", "b", "c"), adjacency=((0, bad), (1, 2)),
+                features=np.zeros((3, 1)), population=np.ones(3), feature_names=("v0",),
             )
 
     def test_duplicate_edges_are_collapsed(self):

@@ -1,6 +1,7 @@
 """The example scripts run end to end and write their CSV outputs; the BENCH
-and pair scripts refuse failing benchmark runs, and a BENCH file names the
-tree it measured; the solve digest repeats."""
+and pair scripts refuse failing benchmark runs, a BENCH file names the tree
+it measured and runs the workloads its BENCHMARK.json lists, and the pair
+script gives a verdict per metric; the solve digest repeats."""
 
 import hashlib
 import json
@@ -56,10 +57,23 @@ STUB_RUN = textwrap.dedent("""
 """)
 
 
+def write_benchmark(root, workloads=None, run_seconds=None):
+    """Copy this checkout's BENCHMARK.json to ``root``, with other workload
+    names or run length where given."""
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if workloads is not None:
+        bench["workloads"] = [{"name": name, "why": "stub"} for name in workloads]
+    if run_seconds is not None:
+        bench["run_seconds"] = run_seconds
+    (root / "BENCHMARK.json").write_text(json.dumps(bench))
+
+
 def test_bench_json_refuses_an_incorrect_run(tmp_path):
     # A checkout whose benchmark reports every run correct but the last.
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
+    write_benchmark(tmp_path)
     tag = "refused-by-test"
     written = [root / f"BENCH_{tag}.json" for root in (ROOT, tmp_path)]
     try:
@@ -75,21 +89,25 @@ def test_bench_json_refuses_an_incorrect_run(tmp_path):
 PAIR_STUB_RUN = textwrap.dedent("""
     import json, sys
     seed = int(sys.argv[sys.argv.index("--seed") + 1])
-    wall = {wall} + 0.01 * seed
+    wall = {wall} + {step} * seed
     print(json.dumps({{"environment": {{"python": "stub"}}}}))
     metrics = {{name: {{"value": wall, "unit": "s"}}
                for name in ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")}}
     metrics["ok_frac"] = {{"value": 1.0, "unit": "ratio"}}
     print(json.dumps({{"correct": seed != {bad_seed}, "attempted": 1, "failed": 0,
-                      "metrics": metrics}}))
+                      "metrics": metrics, "argv": sys.argv[1:]}}))
 """)
 
 
-def stub_checkout(root, wall, bad_seed=-1):
+def stub_checkout(root, wall, bad_seed=-1, step=0.01):
+    """A checkout whose runs report ``wall + step * seed`` for every
+    end-to-end metric but ``ok_frac``, which is 1."""
+
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
-        PAIR_STUB_RUN.format(wall=wall, bad_seed=bad_seed)
+        PAIR_STUB_RUN.format(wall=wall, bad_seed=bad_seed, step=step)
     )
+    write_benchmark(root)
     return root
 
 
@@ -105,7 +123,36 @@ def test_bench_pairs_summarizes_ten_pairs(tmp_path):
     assert "parent median 1.045 (quartiles 1.0175, 1.0725)" in wall
     assert "change median 0.545, change wins 10/10" in wall
     ok = next(line for line in lines if line.startswith("synth-uniform ok_frac:"))
-    assert ok.endswith("change wins 0/10")
+    assert ok.endswith("change wins 0/10: unresolved")
+
+
+@pytest.mark.parametrize(
+    "wall, step, timed, rss",
+    [
+        (0.5, 0.01, "gain", "gain"),  # wins 10/10, medians 0.5 apart
+        (0.99, 0.01, "unresolved", "unresolved"),  # 10/10, medians inside the quartiles
+        (1.2, -0.1, "unresolved", "unresolved"),  # medians 0.295 apart, wins 8/10
+        (1.04, 0.01, "unresolved", "unresolved"),  # 3.8% worse: inside every bound
+        (1.1, 0.01, "unresolved", "worse"),  # 9.6% worse: beyond the 5% bound only
+        (2.0, 0.01, "worse", "worse"),  # 96% worse: beyond every bound
+    ],
+)
+def test_bench_pairs_gives_a_verdict_per_metric(tmp_path, wall, step, timed, rss):
+    # Parent values 1.00..1.09: median 1.045, quartiles 1.0175 and 1.0725.
+    # The bounds are 0.25 for the three times and 0.05 for peak_rss_mb.
+    parent = stub_checkout(tmp_path / "parent", 1.0)
+    change = stub_checkout(tmp_path / "change", wall, step=step)
+    proc = run_script("bench_pairs.py", str(parent), str(change),
+                      "--workload", "synth-uniform")
+    assert proc.returncode == 0, proc.stderr
+    verdicts = dict(line.split(": ")[0::2] for line in proc.stdout.splitlines())
+    assert verdicts == {
+        "synth-uniform wall_s": timed,
+        "synth-uniform cpu_s": timed,
+        "synth-uniform peak_rss_mb": rss,
+        "synth-uniform ok_frac": "unresolved",
+        "synth-uniform setup_s": timed,
+    }
 
 
 def test_bench_pairs_starts_at_the_first_seed(tmp_path):
@@ -184,6 +231,26 @@ def test_bench_json_records_the_measured_tree(tmp_path):
         assert doc["diff_sha256"] == hashlib.sha256(diff).hexdigest()
     finally:
         written.unlink(missing_ok=True)
+
+
+def test_bench_json_runs_the_workloads_of_the_measured_checkout(tmp_path):
+    root = stub_checkout(tmp_path / "checkout", 1.0)
+    write_benchmark(root, workloads=["second", "first"], run_seconds=7)
+    tag = "workloads-by-test"
+    written = ROOT / f"BENCH_{tag}.json"
+    try:
+        proc = run_script("bench_json.py", tag, "--root", str(root))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(written.read_text())
+    finally:
+        written.unlink(missing_ok=True)
+    assert doc["seconds"] == 7
+    runs = [(r["workload"], r["trace"]) for r in doc["results"]]
+    assert runs == [("second", 0), ("second", 1), ("first", 0), ("first", 1)]
+    for result in doc["results"]:
+        argv = result["argv"]
+        assert argv[argv.index("--workload") + 1] == result["workload"]
+        assert argv[argv.index("--seconds") + 1] == "7"
 
 
 def test_solve_digest_is_repeatable():

@@ -266,10 +266,18 @@ class TestWarmBasis:
             with pytest.raises(InvalidBasis, match="returned for these very"):
                 solve_emd(*args, basis=basis)
 
+    @staticmethod
+    def assert_same_solution(p, q):
+        assert np.array_equal(p.T, q.T)
+        assert p.iterations == q.iterations
+        assert p.value == q.value
+        for x, y in zip(p.basis, q.basis):
+            assert np.array_equal(x, y)
+
     def test_trusted_basis_gives_the_checked_bits(self):
-        # A returned basis keeps its tree from call to call; the reference
-        # checks the same arcs and hangs their tree afresh.  Both give the
-        # same plans, bases and pivots.
+        # The arcs are the whole basis: a returned basis and the same arcs
+        # checked by the reference and passed as a new basis give the same
+        # plans, bases and pivots.
         rng = np.random.default_rng(24)
         for n, m in ((7, 9), (12, 5), (16, 16)):
             a, b = self.read_only_measures(rng, n, m)
@@ -279,11 +287,30 @@ class TestWarmBasis:
                 cost = cost + rng.normal(0.0, 0.3, (n, m))
                 trusted = solve_emd(cost, a, b, basis=trusted.basis)
                 checked = solve_emd(cost, a, b, basis=oracles.checked_basis(checked.basis, a, b))
-                assert np.array_equal(trusted.T, checked.T)
-                assert trusted.iterations == checked.iterations
-                assert trusted.value == checked.value
-                for p, q in zip(trusted.basis, checked.basis):
-                    assert np.array_equal(p, q)
+                self.assert_same_solution(trusted, checked)
+
+    def test_degenerate_trees_give_the_checked_bits(self):
+        # Zero masses and tied integer costs leave zero-flow arcs in the
+        # trees, so pivots may move no mass.  Every second call repeats the
+        # cost: it starts from an optimal basis, makes no pivot and returns
+        # the arcs it was given.
+        rng = np.random.default_rng(28)
+        for n, m in ((6, 11), (10, 4), (9, 9), (13, 13)):
+            a, b = self.read_only_measures(rng, n, m)
+            cost = rng.integers(0, 4, (n, m)).astype(float)
+            trusted = checked = solve_emd(cost, a, b)
+            for step in range(6):
+                repeat = step % 2 == 1
+                if not repeat:
+                    cost = np.clip(cost + rng.integers(-1, 2, (n, m)), 0.0, 3.0)
+                given = trusted.basis
+                trusted = solve_emd(cost, a, b, basis=given)
+                checked = solve_emd(cost, a, b, basis=oracles.checked_basis(checked.basis, a, b))
+                self.assert_same_solution(trusted, checked)
+                if repeat:
+                    assert trusted.iterations == 0
+                    assert all(np.array_equal(x, y) for x, y in zip(trusted.basis, given))
+                assert np.any(trusted.basis[2] == 0.0)
 
     def test_writable_marginals_are_rejected(self):
         # Writable marginals may have changed since the basis was returned.
