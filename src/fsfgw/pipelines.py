@@ -143,16 +143,18 @@ def geodesic_structure(
 
     try:
         nodes = [_node_count(v) for v in nodes]
-        local = {v: i for i, v in enumerate(nodes)}
-        rows, cols = [], []
-        for i, j in adjacency:
-            if type(i) is not int or type(j) is not int:  # skips a call per plain int
-                i, j = _node_count(i), _node_count(j)
-            if i in local and j in local and i != j:
-                rows.append(local[i])
-                cols.append(local[j])
     except TypeError as exc:
-        raise ShapeMismatch(f"node and edge values must be integers: {exc}") from exc
+        raise ShapeMismatch(f"node values must be integers: {exc}") from exc
+    local = {v: i for i, v in enumerate(nodes)}
+    rows, cols = [], []
+    for i, j in adjacency:
+        try:
+            i, j = _node_count(i), _node_count(j)
+        except TypeError as exc:
+            raise ShapeMismatch(f"edge ({i!r}, {j!r}): {exc}") from exc
+        if i in local and j in local and i != j:
+            rows.append(local[i])
+            cols.append(local[j])
     k = len(nodes)
     if k == 0:
         raise ShapeMismatch("cannot build a geodesic matrix on zero nodes")

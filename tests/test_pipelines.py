@@ -130,6 +130,10 @@ class TestGeodesicStructure:
         with pytest.raises(ShapeMismatch, match=f"got {bad}"):
             geodesic_structure(edges, nodes)
 
+    def test_an_edge_that_is_no_pair_is_not_called_a_bad_value(self):
+        with pytest.raises(TypeError, match="unpack"):
+            geodesic_structure([(0, 1), 2], [0, 1, 2])
+
     def test_numpy_integers_are_integers(self):
         nodes = np.arange(3)
         C = geodesic_structure([(nodes[0], nodes[1]), (1, 2)], nodes)

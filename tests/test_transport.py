@@ -1,5 +1,7 @@
 """Exact transportation LP, quadratic line search, and coupling sampler."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,7 +279,9 @@ class TestWarmBasis:
     def test_trusted_basis_gives_the_checked_bits(self):
         # The arcs are the whole basis: a returned basis and the same arcs
         # checked by the reference and passed as a new basis give the same
-        # plans, bases and pivots.
+        # plans, bases and pivots.  Both sides hang their tree with the same
+        # code, so a change in that code shows in the pinned warm solves
+        # below, not here.
         rng = np.random.default_rng(24)
         for n, m in ((7, 9), (12, 5), (16, 16)):
             a, b = self.read_only_measures(rng, n, m)
@@ -311,6 +315,33 @@ class TestWarmBasis:
                     assert trusted.iterations == 0
                     assert all(np.array_equal(x, y) for x, y in zip(trusted.basis, given))
                 assert np.any(trusted.basis[2] == 0.0)
+
+    def test_warm_solves_keep_their_pinned_bits(self):
+        # Recorded from the solver that kept a tree copy on each basis and
+        # reset potentials in depth order.  The masses are sixteenths and the
+        # costs integers, so every flow and value is exact on any machine.
+        # Calls 3 and 6 repeat the cost and make no pivot.
+        a = np.array([0, 2, 2, 1, 1, 0, 3, 4, 3]) / 16.0
+        b = np.array([0, 1, 2, 2, 4, 2, 1, 0, 2, 0, 2, 0]) / 16.0
+        a.setflags(write=False)
+        b.setflags(write=False)
+        rng = np.random.default_rng(29)
+        cost = rng.integers(0, 4, (9, 12)).astype(float)
+        sol = solve_emd(cost, a, b)
+        pivots, values, digest = [sol.iterations], [sol.value * 16], hashlib.sha256()
+        for step in range(6):
+            if step % 3 != 2:
+                cost = np.clip(cost + rng.integers(-1, 2, (9, 12)), 0.0, 3.0)
+            sol = solve_emd(cost, a, b, basis=sol.basis)
+            pivots.append(sol.iterations)
+            values.append(sol.value * 16)
+            for part in (sol.T, *sol.basis):
+                digest.update(np.asarray(part, dtype="<f8").tobytes())
+        assert pivots == [7, 10, 9, 0, 4, 13, 0]
+        assert values == [5.0, 8.0, 11.0, 11.0, 14.0, 9.0, 9.0]
+        assert digest.hexdigest() == (
+            "fe5a9ba55bf654345c1bbf719cb501756f1f02146d1d244c966ffd521488fc87"
+        )
 
     def test_writable_marginals_are_rejected(self):
         # Writable marginals may have changed since the basis was returned.
