@@ -16,8 +16,10 @@ task indices from one shared counter, and the results come back in task
 order, so pool and serial runs give identical bits and raise the same
 first failure.
 
-scipy loads on first use, inside ``match_districts``, ``geodesic_structure``
-and the synthetic graph sampler, the only functions here that call it.
+Nothing here loads scipy.  Hop counts, components and the sampler's node
+order come from one breadth-first search (``_bfs``) and equal what
+``scipy.sparse.csgraph`` gives; district matching is ``_assignment``, a
+port of ``scipy.optimize.linear_sum_assignment`` that keeps its tie choice.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import multiprocessing
 import multiprocessing.connection
 import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -127,6 +129,28 @@ def _node_count(value) -> int:
     return int(value)
 
 
+def _bfs(neighbours: Sequence[Sequence[int]], source: int, hops: list[int]) -> list[int]:
+    """Breadth-first search from ``source`` through the nodes whose ``hops``
+    entry is -1, neighbours in list order: writes their hop counts into
+    ``hops`` and returns them in visiting order."""
+
+    hops[source] = 0
+    order = [source]
+    for node in order:  # the loop also visits the nodes appended inside it
+        for other in neighbours[node]:
+            if hops[other] < 0:
+                hops[other] = hops[node] + 1
+                order.append(other)
+    return order
+
+
+def _components(neighbours: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Connected components by lowest node, each in breadth-first order from it."""
+
+    hops = [-1] * len(neighbours)
+    return [_bfs(neighbours, v, hops) for v in range(len(neighbours)) if hops[v] < 0]
+
+
 def geodesic_structure(
     adjacency: Sequence[tuple[int, int]], nodes: Sequence[int]
 ) -> np.ndarray:
@@ -135,41 +159,38 @@ def geodesic_structure(
 
     Node and edge values must be integers (a bool, float or string raises
     ``ShapeMismatch``).  Raises ``DisconnectedDistrict`` naming the
-    components when the induced subgraph is disconnected.
+    components when the induced subgraph is disconnected.  One breadth-first
+    search per node: O(k (k + E)) time on k nodes and E edges.
     """
-
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, shortest_path
 
     try:
         nodes = [_node_count(v) for v in nodes]
     except TypeError as exc:
         raise ShapeMismatch(f"node values must be integers: {exc}") from exc
     local = {v: i for i, v in enumerate(nodes)}
-    rows, cols = [], []
+    k = len(nodes)
+    neighbours: list[list[int]] = [[] for _ in range(k)]
     for i, j in adjacency:
         try:
             i, j = _node_count(i), _node_count(j)
         except TypeError as exc:
             raise ShapeMismatch(f"edge ({i!r}, {j!r}): {exc}") from exc
         if i in local and j in local and i != j:
-            rows.append(local[i])
-            cols.append(local[j])
-    k = len(nodes)
+            neighbours[local[i]].append(local[j])
+            neighbours[local[j]].append(local[i])
     if k == 0:
         raise ShapeMismatch("cannot build a geodesic matrix on zero nodes")
     if len(local) != k:
         raise ShapeMismatch("induced node set contains duplicates")
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(k, k))
-    C = shortest_path(graph, directed=False, unweighted=True)
-    if not np.all(np.isfinite(C)):
-        count, labels = connected_components(graph, directed=False)
-        named = [
-            sorted(nodes[i] for i in np.flatnonzero(labels == c)) for c in range(count)
-        ]
-        raise DisconnectedDistrict(
-            f"induced subgraph on {k} nodes splits into components {named}"
-        )
+    C = np.empty((k, k))
+    for source in range(k):
+        hops = [-1] * k
+        if len(_bfs(neighbours, source, hops)) < k:  # only ever at source 0
+            named = [sorted(nodes[i] for i in comp) for comp in _components(neighbours)]
+            raise DisconnectedDistrict(
+                f"induced subgraph on {k} nodes splits into components {named}"
+            )
+        C[source] = hops
     mx = C.max(initial=0.0)
     if mx > 0.0:
         C /= mx
@@ -223,25 +244,15 @@ def _sample_geometric_graph(rng: np.random.Generator, n: int, radius: float):
     resampled up to RESAMPLE_ATTEMPTS times; nodes come back in BFS order
     so any prefix stays connected."""
 
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
-
     for _ in range(RESAMPLE_ATTEMPTS):
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
         delta = pts[:, None, :] - pts[None, :, :]
         close = (delta**2).sum(axis=2) <= radius**2
         np.fill_diagonal(close, False)
-        graph = csr_matrix(close)
-        _, labels = connected_components(graph, directed=False)
-        sizes = np.bincount(labels)
-        largest = int(np.argmax(sizes))  # first maximum: lowest-numbered component
-        if sizes[largest] >= 0.9 * n:
-            source = int(np.flatnonzero(labels == largest)[0])
-            order = breadth_first_order(
-                graph, source, directed=False, return_predecessors=False
-            )
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if close[i, j]]
-            return order, edges
+        order = max(_components([np.flatnonzero(row).tolist() for row in close]), key=len)
+        if len(order) >= 0.9 * n:  # max keeps the first largest: the lowest-numbered one
+            rows, cols = np.nonzero(np.triu(close, 1))
+            return order, list(zip(rows.tolist(), cols.tolist()))
     raise DisconnectedAfterRetries(
         f"no component with >= {0.9 * n:.0f} of {n} nodes in "
         f"{RESAMPLE_ATTEMPTS} samples at radius {radius}"
@@ -570,13 +581,15 @@ def complete_linkage_cluster(D: np.ndarray) -> list[Merge]:
 @dataclass(frozen=True)
 class PrecinctGraph:
     """Adjacency, per-precinct features, and population for one state of
-    affairs; precincts are indexed by file order and named by id."""
+    affairs; precincts are indexed by file order and named by id.
+    ``neighbours[i]`` lists precinct i's neighbours in ascending order."""
 
     precinct_ids: tuple[str, ...]
     adjacency: tuple[tuple[int, int], ...]
     features: np.ndarray
     population: np.ndarray
     feature_names: tuple[str, ...]
+    neighbours: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = tuple(str(s) for s in self.precinct_ids)
@@ -600,6 +613,7 @@ class PrecinctGraph:
             )
         seen = set()
         edges = []
+        neighbours: list[list[int]] = [[] for _ in range(P)]
         for i, j in self.adjacency:
             try:
                 i, j = _node_count(i), _node_count(j)
@@ -613,6 +627,8 @@ class PrecinctGraph:
             if key not in seen:
                 seen.add(key)
                 edges.append(key)
+                neighbours[i].append(j)
+                neighbours[j].append(i)
         feats = feats.copy()
         feats.setflags(write=False)
         pop = pop.copy()
@@ -622,6 +638,7 @@ class PrecinctGraph:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "population", pop)
         object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "neighbours", tuple(tuple(sorted(nb)) for nb in neighbours))
 
     @property
     def P(self) -> int:
@@ -670,13 +687,63 @@ def district_object(graph: PrecinctGraph, indices: Sequence[int]) -> StructuredO
     idx = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
     if idx.shape[0] == 0:
         raise EmptySet("a district must contain at least one precinct")
-    C = geodesic_structure(graph.adjacency, idx.tolist())
+    members = idx.tolist()
+    inside = set(members)
+    induced = [(i, j) for i in members for j in graph.neighbours[i] if j > i and j in inside]
+    C = geodesic_structure(induced, members)
     pop = graph.population[idx]
     total = pop.sum()
     a = pop / total if total > 0 else np.full(idx.shape[0], 1.0 / idx.shape[0])
     return StructuredObject(
         C=C, a=a, X=graph.features[idx], feature_names=graph.feature_names
     )
+
+
+def _assignment(cost: np.ndarray) -> list[int]:
+    """The column matched to each row of a square cost matrix at minimum
+    total cost: Crouse's shortest augmenting path ("On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016) in the arithmetic
+    and tie order of scipy's ``linear_sum_assignment``.  Rows are added in
+    order; a search scans the free columns from the highest down and takes
+    the first lowest reduced cost, preferring on a tie a column no row holds.
+    """
+
+    cost = np.asarray(cost, dtype=float).tolist()
+    k = len(cost)
+    u, v = [0.0] * k, [0.0] * k
+    path, col4row, row4col = [-1] * k, [-1] * k, [-1] * k
+    for cur in range(k):
+        shortest = [np.inf] * k
+        remaining = list(range(k - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            seen_rows.append(i)
+            index, lowest, row, ui = -1, np.inf, cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            sink, i = (j, i) if row4col[j] == -1 else (-1, row4col[j])
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j, i = sink, -1
+        while i != cur:  # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    return col4row
 
 
 def match_districts(
@@ -688,9 +755,13 @@ def match_districts(
     minimizing the summed Hamming distance between precinct-membership
     indicator vectors, solved exactly as a linear assignment.  Returns
     (label_p, label_q) pairs ordered by label_p (labels are 1-based).
-    """
 
-    from scipy.optimize import linear_sum_assignment
+    Ties are a contract: among several optimal matchings this returns the
+    one that ``_assignment`` reaches, which is the one scipy's
+    ``linear_sum_assignment`` (Crouse's shortest augmenting path) picks
+    for the same Hamming matrix.  It is a function of the two assignment
+    vectors alone.
+    """
 
     if plan_p.P != plan_q.P:
         raise PrecinctUniverseMismatch(
@@ -707,8 +778,7 @@ def match_districts(
     counts_q = mem_q.sum(axis=0)
     overlap = mem_p.T.astype(np.int64) @ mem_q.astype(np.int64)
     H = counts_p[:, None] + counts_q[None, :] - 2 * overlap
-    rows, cols = linear_sum_assignment(H)
-    return [(int(r) + 1, int(c) + 1) for r, c in zip(rows, cols)]
+    return [(r + 1, c + 1) for r, c in enumerate(_assignment(H))]
 
 
 @dataclass(frozen=True)
@@ -850,7 +920,7 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
     if not isinstance(doc, dict):
         raise InvalidObjectFile(f"{where}: object document must be a JSON mapping")
 
-    def field(key, convert):
+    def read(key, convert):
         try:
             return convert(doc[key])
         except KeyError as exc:
@@ -861,22 +931,22 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
     def floats(value):
         return np.asarray(value, dtype=float)
 
-    n = field("n", _node_count)
+    n = read("n", _node_count)
     if n < 1:
         raise InvalidObjectFile(f"{where}: n must be >= 1, got {n}")
-    X = field("X", floats)
-    a = field("a", lambda v: np.full(n, 1.0 / n) if v == "uniform" else floats(v))
+    X = read("X", floats)
+    a = read("a", lambda v: np.full(n, 1.0 / n) if v == "uniform" else floats(v))
     has_C = "C" in doc
     if has_C == ("edges" in doc):
         raise InvalidObjectFile(f"{where}: needs exactly one of 'C' and 'edges'")
     if has_C:
-        C = field("C", floats)
+        C = read("C", floats)
     else:
         if doc.get("structure") != "geodesic":
             raise InvalidObjectFile(
                 f"{where}: edge-list objects must declare structure: \"geodesic\""
             )
-        edges = field("edges", lambda e: [(_node_count(i), _node_count(j)) for i, j in e])
+        edges = read("edges", lambda e: [(_node_count(i), _node_count(j)) for i, j in e])
         if any(not (0 <= i < n and 0 <= j < n) for i, j in edges):
             raise InvalidObjectFile(f"{where}: edge endpoints out of range for n={n}")
         C = geodesic_structure(edges, range(n))

@@ -29,9 +29,9 @@ start is a function of (cost, a, b).  When costs are degenerate, which
 optimal vertex that is depends on the route and on the starting basis,
 but every one has the same value.  The simplex breaks ties on the lowest
 flat cell index, so a warm start may stop at a different optimal vertex
-than a cold start; the assignment route returns whichever permutation
-``linear_sum_assignment`` picks, which is fixed for a given cost but
-follows no index rule.
+than a cold start; the assignment route returns the permutation that
+``linear_sum_assignment`` picks by Crouse's shortest augmenting path (the
+tie rule that ``pipelines.match_districts`` ports), not the lowest index.
 
 ``solve_emd`` checks a finite cost on every call.  A cold call checks
 its marginals: nonnegative, of equal mass.  A warm call accepts only a
@@ -43,8 +43,8 @@ array, on the marginals by construction, and is not checked again.
 ``line_search_quadratic`` is the exact minimizer of a 1-D quadratic on
 [0, 1], used by the conditional-gradient solver.
 
-Only the assignment route loads scipy, on its first call; importing this
-module and every simplex solve need numpy alone.
+Only the assignment route loads scipy, on its first call, and it is the
+only code in the package that does; every other solve needs numpy alone.
 """
 
 from __future__ import annotations

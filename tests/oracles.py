@@ -4,7 +4,9 @@ Everything here is deliberately written from the mathematical definitions
 with none of the package's shortcuts: transport LPs go through scipy's
 HiGHS solver, the structure term is a literal four-index sum, weight
 subproblems are minimized by grid search or enumeration, and assignments
-by trying every permutation.  Test files import these as the second,
+by trying every permutation.  scipy's assignment solver and graph
+routines are the references for the package's own ports of them, which
+must give the same tie choices, hop counts and node orders.  Test files import these as the second,
 independent route to each quantity.
 
 Two closed forms that the package itself never evaluates live here too:
@@ -20,7 +22,9 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
 from fsfgw.core import MARGINAL_TOL, InvalidConfig
 from fsfgw.fgw import gw_value
@@ -291,6 +295,30 @@ def assignment_min_cost(H: np.ndarray) -> float:
     perms = _perms(D)
     costs = H[np.arange(D)[None, :], perms].sum(axis=1)
     return float(costs.min())
+
+
+def assignment_reference(H: np.ndarray) -> list[int]:
+    """The column scipy's ``linear_sum_assignment`` matches to each row."""
+
+    rows, cols = linear_sum_assignment(H)
+    assert rows.tolist() == list(range(len(rows)))
+    return cols.tolist()
+
+
+def graph_reference(close: np.ndarray):
+    """scipy's view of the undirected graph with boolean adjacency matrix
+    ``close``: (hop counts with inf where unreached, component labels,
+    and each component's breadth-first order from its lowest node)."""
+
+    graph = csr_matrix(close)
+    hops = shortest_path(graph, directed=False, unweighted=True)
+    count, labels = connected_components(graph, directed=False)
+    orders = [
+        breadth_first_order(graph, int(np.flatnonzero(labels == c)[0]), directed=False,
+                            return_predecessors=False).tolist()
+        for c in range(count)
+    ]
+    return hops, labels, orders
 
 
 def hamming_matrix(assign_p: np.ndarray, assign_q: np.ndarray, D: int) -> np.ndarray:

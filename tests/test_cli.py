@@ -857,13 +857,40 @@ class TestScipyLoadsOnFirstUse:
         lp = fsfgw.solve_emd(cost, np.full(9, 1 / 9), np.full(9, 1 / 9))
         assert fresh_python(code) == [lp.T.tobytes().hex(), lp.value.hex(), True]
 
+    @staticmethod
+    def assert_fresh_run_loads_no_scipy(tmp_path, capsys, argv, outputs):
+        """A new interpreter runs ``argv`` without loading scipy and writes
+        the same ``outputs`` as a run in this process."""
+        fresh = fresh_python(FRESH_MAIN, json.dumps(argv + ["--out", str(tmp_path / "fresh")]))
+        assert fresh == [0, []]
+        assert main(argv + ["--out", str(tmp_path / "here")]) == 0
+        capsys.readouterr()
+        for name in outputs:
+            assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
     def test_redistrict_compare_gives_the_in_process_bits(self, tmp_path, capsys):
         nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
         argv = ["redistrict", "compare", str(nodes), str(edges), str(plan_p), str(plan_q)]
-        fresh = fresh_python(FRESH_MAIN, json.dumps(argv + ["--out", str(tmp_path / "fresh")]))
-        assert fresh[0] == 0
-        assert "scipy.sparse.csgraph" in fresh[1]
-        assert main(argv + ["--out", str(tmp_path / "here")]) == 0
-        capsys.readouterr()
-        for name in ("comparison.json", "weight_heatmap.csv"):
-            assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+        self.assert_fresh_run_loads_no_scipy(tmp_path, capsys, argv,
+                                             ("comparison.json", "weight_heatmap.csv"))
+
+    def test_redistrict_cluster_gives_the_in_process_bits(self, tmp_path, capsys):
+        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        argv = ["redistrict", "cluster", str(nodes), str(edges), str(plan_p), str(plan_q)]
+        self.assert_fresh_run_loads_no_scipy(tmp_path, capsys, argv,
+                                             ("plan_distances.csv", "dendrogram.json"))
+
+    def test_edge_list_solve_gives_the_in_process_bits(self, tmp_path, capsys):
+        # Hop geodesics from edge lists, Dirichlet measures: the simplex route.
+        rng = np.random.default_rng(8)
+        paths = [tmp_path / "x.json", tmp_path / "y.json"]
+        for path, n in zip(paths, (6, 8)):
+            edges = [[i, i + 1] for i in range(n - 1)] + [[0, n - 1], [1, n - 2]]
+            path.write_text(json.dumps({
+                "n": n, "a": rng.dirichlet(np.ones(n)).tolist(),
+                "X": rng.normal(size=(n, 3)).tolist(),
+                "edges": edges, "structure": "geodesic",
+            }))
+        argv = ["solve", str(paths[0]), str(paths[1]), "--lambda", "0.2"]
+        self.assert_fresh_run_loads_no_scipy(tmp_path, capsys, argv,
+                                             ("result.json", "weights.csv"))

@@ -23,6 +23,7 @@ from fsfgw.core import (
 )
 from fsfgw.fgw import FgwProblem, solve_fgw
 from fsfgw.pipelines import (
+    DisconnectedAfterRetries,
     DisconnectedDistrict,
     DistrictCountMismatch,
     EmptySet,
@@ -139,6 +140,30 @@ class TestGeodesicStructure:
         C = geodesic_structure([(nodes[0], nodes[1]), (1, 2)], nodes)
         assert np.array_equal(C, geodesic_structure([(0, 1), (1, 2)], [0, 1, 2]))
 
+    def test_hops_components_and_order_match_scipy(self):
+        # Random graphs from empty to dense, many of them disconnected.
+        rng = np.random.default_rng(12)
+        disconnected = 0
+        for _ in range(300):
+            k = int(rng.integers(1, 16))
+            close = np.triu(rng.uniform(size=(k, k)) < rng.uniform(0.0, 0.6), 1)
+            close |= close.T
+            hops, labels, orders = oracles.graph_reference(close)
+            neighbours = [np.flatnonzero(row).tolist() for row in close]
+            assert pipelines._components(neighbours) == orders
+            nodes = rng.permutation(100)[:k].tolist()  # node values other than 0..k-1
+            edges = [(nodes[i], nodes[j]) for i, j in zip(*np.nonzero(close))]
+            if np.isinf(hops).any():
+                disconnected += 1
+                named = [sorted(nodes[i] for i in np.flatnonzero(labels == c))
+                         for c in range(labels.max() + 1)]
+                with pytest.raises(DisconnectedDistrict, match=re.escape(str(named))):
+                    geodesic_structure(edges, nodes)
+            else:
+                expected = hops / hops.max() if hops.max() > 0 else hops
+                assert np.array_equal(geodesic_structure(edges, nodes), expected)
+        assert 50 < disconnected < 250
+
 
 class TestGenerateSyntheticPair:
     def test_shapes_and_planted_set(self):
@@ -184,6 +209,26 @@ class TestGenerateSyntheticPair:
             h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         assert x.n == size
         assert h.hexdigest()[:16] == digest
+
+    def test_pinned_bytes_over_many_seeds(self):
+        """Every object's C, a and X bytes over 300 specs of 10-50 nodes and
+        three radii, 22 of which find no large component: pinned to the
+        digest recorded when the graph routines came from scipy."""
+        h = hashlib.sha256()
+        for seed in range(300):
+            spec = SyntheticSpec(n=10 + seed % 41, d=2, k=1,
+                                 geo_radius=(0.25, 0.35, 0.5)[seed % 3], seed=seed)
+            try:
+                x, y, _ = generate_synthetic_pair(spec)
+            except DisconnectedAfterRetries:
+                h.update(b"retries")
+                continue
+            for obj in (x, y):
+                for arr in (obj.C, obj.a, obj.X):
+                    h.update(arr.tobytes())
+        assert h.hexdigest() == (
+            "fa132cebd87bf09777b737c3c095e994cedbce16aeb12f56a2b9f9c94435f111"
+        )
 
     def test_spec_validation(self):
         with pytest.raises(InvalidConfig):
@@ -497,8 +542,8 @@ class TestDistrictsAndMatching:
 
     def test_matching_cost_is_optimal(self):
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            D = int(rng.integers(2, 6))
+        for _ in range(40):
+            D = int(rng.integers(1, 7))
             size = int(rng.integers(D * 2, D * 4))
             ap = self._full_assignment(rng, size, D)
             aq = self._full_assignment(rng, size, D)
@@ -509,6 +554,25 @@ class TestDistrictsAndMatching:
             H = oracles.hamming_matrix(ap, aq, D)
             cost = sum(H[p - 1, q - 1] for p, q in matching)
             assert cost == pytest.approx(oracles.assignment_min_cost(H))
+
+    def test_matching_ties_follow_scipy(self):
+        # Few precincts per district give Hamming matrices full of ties.
+        rng = np.random.default_rng(13)
+        tied = 0
+        for D in range(1, 9):
+            for _ in range(150):
+                size = int(rng.integers(3 * D, 6 * D + 1))
+                ap = self._full_assignment(rng, size, D)
+                aq = self._full_assignment(rng, size, D)
+                H = oracles.hamming_matrix(ap, aq, D)
+                cols = oracles.assignment_reference(H)
+                matching = match_districts(RedistrictingPlan(plan_id="p", assignment=ap),
+                                           RedistrictingPlan(plan_id="q", assignment=aq))
+                assert matching == [(r + 1, c + 1) for r, c in enumerate(cols)]
+                if D <= 6:
+                    costs = H[np.arange(D), oracles._perms(D)].sum(axis=1)
+                    tied += int(np.sum(costs == costs.min()) > 1)
+        assert tied > 250
 
     @staticmethod
     def _full_assignment(rng, size, D):

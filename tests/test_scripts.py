@@ -1,9 +1,11 @@
 """The example scripts run end to end and write their CSV outputs; the BENCH
 and pair scripts refuse failing benchmark runs, a BENCH file names the tree
 it measured and runs the workloads its BENCHMARK.json lists, and the pair
-script gives a verdict per metric; the solve digest repeats."""
+script gives a verdict per metric (its rule and loop are tested in-process,
+with one run against stub checkouts); the solve digest repeats."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -111,19 +113,42 @@ def stub_checkout(root, wall, bad_seed=-1, step=0.01):
     return root
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_script("bench_pairs.py")
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def test_bench_pairs_summarizes_ten_pairs(tmp_path):
+    # The one run against stub checkouts: ten pairs of real subprocesses.
     parent = stub_checkout(tmp_path / "parent", 1.0)
     change = stub_checkout(tmp_path / "change", 0.5)
-    proc = run_script("bench_pairs.py", str(parent), str(change))
+    proc = run_script("bench_pairs.py", str(parent), str(change), "--workload", "synth-uniform")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3 * 5  # every workload and end-to-end metric
+    assert len(lines) == 5  # every end-to-end metric
     wall = next(line for line in lines if line.startswith("synth-uniform wall_s:"))
     # Parent values 1.00..1.09: median 1.045, quartiles 1.0175 and 1.0725.
     assert "parent median 1.045 (quartiles 1.0175, 1.0725)" in wall
     assert "change median 0.545, change wins 10/10" in wall
     ok = next(line for line in lines if line.startswith("synth-uniform ok_frac:"))
     assert ok.endswith("change wins 0/10: unresolved")
+
+
+def verdicts(parent, change):
+    """The verdict on every end-to-end metric when each reads ``parent``
+    and ``change`` in its pairs, but ``ok_frac``, which is 1 on both."""
+
+    out = {}
+    for metric in BENCH["end_to_end"]:
+        p, c = (parent, change) if metric["name"] != "ok_frac" else ([1.0] * 10, [1.0] * 10)
+        out[metric["name"]] = bench_pairs.compare(p, c, metric["better"], metric["bound"]).verdict
+    return out
 
 
 @pytest.mark.parametrize(
@@ -137,65 +162,81 @@ def test_bench_pairs_summarizes_ten_pairs(tmp_path):
         (2.0, 0.01, "worse", "worse"),  # 96% worse: beyond every bound
     ],
 )
-def test_bench_pairs_gives_a_verdict_per_metric(tmp_path, wall, step, timed, rss):
+def test_bench_pairs_gives_a_verdict_per_metric(wall, step, timed, rss):
     # Parent values 1.00..1.09: median 1.045, quartiles 1.0175 and 1.0725.
     # The bounds are 0.25 for the three times and 0.05 for peak_rss_mb.
-    parent = stub_checkout(tmp_path / "parent", 1.0)
-    change = stub_checkout(tmp_path / "change", wall, step=step)
-    proc = run_script("bench_pairs.py", str(parent), str(change),
-                      "--workload", "synth-uniform")
-    assert proc.returncode == 0, proc.stderr
-    verdicts = dict(line.split(": ")[0::2] for line in proc.stdout.splitlines())
-    assert verdicts == {
-        "synth-uniform wall_s": timed,
-        "synth-uniform cpu_s": timed,
-        "synth-uniform peak_rss_mb": rss,
-        "synth-uniform ok_frac": "unresolved",
-        "synth-uniform setup_s": timed,
+    parent = [1.0 + 0.01 * k for k in range(10)]
+    change = [wall + step * k for k in range(10)]
+    assert verdicts(parent, change) == {
+        "wall_s": timed, "cpu_s": timed, "peak_rss_mb": rss, "ok_frac": "unresolved",
+        "setup_s": timed,
     }
 
 
-def test_bench_pairs_starts_at_the_first_seed(tmp_path):
-    # Seeds 10..19 only: the change's bad seed 3 is never run.
-    parent = stub_checkout(tmp_path / "parent", 1.0)
-    change = stub_checkout(tmp_path / "change", 0.5, bad_seed=3)
-    proc = run_script("bench_pairs.py", str(parent), str(change), "--first-seed", "10")
-    assert proc.returncode == 0, proc.stderr
-    wall = next(line for line in proc.stdout.splitlines()
+@pytest.mark.parametrize("losses, verdict", [(1, "gain"), (2, "unresolved")])
+def test_bench_pairs_gain_needs_nine_wins(losses, verdict):
+    # The change is 0.5 better in every pair but the last ``losses``.
+    parent = [1.0 + 0.01 * k for k in range(10)]
+    change = [p - 0.5 if k < 10 - losses else p + 0.5 for k, p in enumerate(parent)]
+    c = bench_pairs.compare(parent, change, "lower", 0.25)
+    assert (c.wins, c.verdict) == (10 - losses, verdict)
+
+
+def fake_runs(monkeypatch):
+    """Replace the benchmark run with one that reports ``wall + 0.01 *
+    seed`` for every metric (wall 1.0 on the parent, 0.5 on the change)
+    and records (side, workload, seed) of every call."""
+
+    calls = []
+
+    def run(side, checkout, workload, seed, seconds):
+        calls.append((side, workload, seed))
+        value = (1.0 if side == "parent" else 0.5) + 0.01 * seed
+        return {m["name"]: {"value": value} for m in BENCH["end_to_end"]}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    return calls
+
+
+def test_bench_pairs_starts_at_the_first_seed(monkeypatch, capsys):
+    calls = fake_runs(monkeypatch)
+    bench_pairs.main(["parent", "change", "--first-seed", "10", "--workload", "synth-uniform"])
+    # Seeds 10..19, the parent first in even pairs and the change first in odd ones.
+    assert calls == [(side, "synth-uniform", 10 + k) for k in range(10)
+                     for side in (("parent", "change") if k % 2 == 0 else ("change", "parent"))]
+    wall = next(line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("synth-uniform wall_s:"))
     # Parent values 1.10..1.19: median 1.145, quartiles 1.1175 and 1.1725.
     assert "parent median 1.145 (quartiles 1.1175, 1.1725)" in wall
     assert "change median 0.645, change wins 10/10" in wall
 
 
-def test_bench_pairs_runs_only_the_named_workloads(tmp_path):
-    parent = stub_checkout(tmp_path / "parent", 1.0)
-    change = stub_checkout(tmp_path / "change", 0.5)
-    proc = run_script("bench_pairs.py", str(parent), str(change),
-                      "--workload", "pairwise-q1-pool", "--workload", "synth-uniform")
-    assert proc.returncode == 0, proc.stderr
+def test_bench_pairs_runs_only_the_named_workloads(monkeypatch, capsys):
+    fake_runs(monkeypatch)
+    bench_pairs.main(["parent", "change", "--workload", "pairwise-q1-pool",
+                      "--workload", "synth-uniform"])
     # In BENCHMARK.json's order, five end-to-end metrics each.
-    workloads = [line.split()[0] for line in proc.stdout.splitlines()]
+    workloads = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert workloads == ["synth-uniform"] * 5 + ["pairwise-q1-pool"] * 5
 
 
-def test_bench_pairs_refuses_an_unknown_workload_before_any_run(tmp_path):
-    # The checkouts do not exist, so any run would fail with another message.
-    missing = tmp_path / "missing"
-    proc = run_script("bench_pairs.py", str(missing), str(missing),
-                      "--workload", "synth-uniform", "--workload", "no-such-workload")
-    assert proc.returncode == 2
-    assert "unknown workload(s) ['no-such-workload']" in proc.stderr
-    assert proc.stdout == ""
+def test_bench_pairs_refuses_an_unknown_workload_before_any_run(monkeypatch, capsys):
+    calls = fake_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["parent", "change", "--workload", "synth-uniform",
+                          "--workload", "no-such-workload"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert "unknown workload(s) ['no-such-workload']" in err
+    assert out == "" and calls == []
 
 
 def test_bench_pairs_refuses_an_incorrect_run(tmp_path):
-    parent = stub_checkout(tmp_path / "parent", 1.0)
     change = stub_checkout(tmp_path / "change", 0.5, bad_seed=3)
-    proc = run_script("bench_pairs.py", str(parent), str(change))
-    assert proc.returncode != 0
-    assert "synth-uniform seed 3 on the change" in proc.stderr
-    assert proc.stdout == ""
+    assert bench_pairs.run("change", change, "synth-uniform", 2, 30)["wall_s"]["value"] == 0.52
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.run("change", change, "synth-uniform", 3, 30)
+    assert "synth-uniform seed 3 on the change" in str(exit_.value.code)
 
 
 def git(root, *args):
