@@ -6,8 +6,8 @@ HiGHS solver, the structure term is a literal four-index sum, weight
 subproblems are minimized by grid search or enumeration, and assignments
 by trying every permutation.  scipy's assignment solver and graph
 routines are the references for the package's own ports of them, which
-must give the same tie choices, hop counts and node orders.  Test files import these as the second,
-independent route to each quantity.
+must give the same tie choices, hop counts and node orders.  Test files
+import these as the second, independent route to each quantity.
 
 Two closed forms that the package itself never evaluates live here too:
 ``fgw_objective`` (the fused objective at a plan, on the package's own
@@ -287,14 +287,18 @@ def _perms(D: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(D))), dtype=np.int64)
 
 
-def assignment_min_cost(H: np.ndarray) -> float:
-    """Minimum assignment cost by enumerating all D! permutations."""
+def assignment_costs(H: np.ndarray) -> np.ndarray:
+    """The cost of each of the D! assignments, enumerated."""
 
     H = np.asarray(H, dtype=float)
     D = H.shape[0]
-    perms = _perms(D)
-    costs = H[np.arange(D)[None, :], perms].sum(axis=1)
-    return float(costs.min())
+    return H[np.arange(D)[None, :], _perms(D)].sum(axis=1)
+
+
+def assignment_min_cost(H: np.ndarray) -> float:
+    """Minimum assignment cost by enumerating all D! permutations."""
+
+    return float(assignment_costs(H).min())
 
 
 def assignment_reference(H: np.ndarray) -> list[int]:
