@@ -39,6 +39,7 @@ from .core import (
 from .fgw import InstanceTooLarge
 from .pipelines import (
     DisconnectedAfterRetries,
+    EmptySet,
     PairwiseSolveError,
     SyntheticSpec,
     _check_workers,
@@ -221,9 +222,13 @@ def cmd_solve(args) -> int:
 
 
 def _synthetic_spec(args) -> SyntheticSpec:
-    return SyntheticSpec(
+    spec = SyntheticSpec(
         n=args.n, d=args.d, k=args.k, delta=args.delta, geo_radius=args.radius, seed=args.seed
     )
+    # Every synthetic command scores the planted set, so reject it before any solve.
+    if not 0 < spec.k < spec.d:
+        raise EmptySet(f"--k must lie strictly between 0 and --d = {spec.d}, got {spec.k}")
+    return spec
 
 
 def _default_groups(d: int, k: int):
@@ -241,7 +246,7 @@ def cmd_synthetic_recover(args) -> int:
     spec = _synthetic_spec(args)
     groups = _load_groups(args.groups)
     if args.mode == "group_simplex" and groups is None:
-        groups = _default_groups(spec.d, max(spec.k, 1))
+        groups = _default_groups(spec.d, spec.k)
     config = _config_from_args(args, groups=groups)
     x, y, diff = generate_synthetic_pair(spec)
     result = solve_fsfgw(x, y, config)
@@ -282,7 +287,7 @@ def cmd_synthetic_delta_sweep(args) -> int:
     spec = _synthetic_spec(args)
     groups = _load_groups(args.groups)
     if groups is None:
-        groups = _default_groups(spec.d, max(spec.k, 1))
+        groups = _default_groups(spec.d, spec.k)
     out = _out_dir(args)
     # The level flags apply to lasso and ridge only, and groups to
     # group_simplex only, so one flag set sweeps every mode.

@@ -31,7 +31,7 @@ import multiprocessing
 import multiprocessing.connection
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -45,7 +45,6 @@ from .core import (
     SolveResult,
     StructuredObject,
     SuppressionWeights,
-    TransportPlan,
 )
 from .suppression import solve_fsfgw
 
@@ -580,18 +579,20 @@ def complete_linkage_cluster(D: np.ndarray) -> list[Merge]:
 
 @dataclass(frozen=True)
 class PrecinctGraph:
-    """Adjacency, per-precinct features, and population for one state of
-    affairs; precincts are indexed by file order and named by id.
-    ``neighbours[i]`` lists precinct i's neighbours in ascending order."""
+    """Per-precinct features and population for one state of affairs, and
+    the precinct adjacency; precincts are indexed by file order and named by
+    id.  ``adjacency``, the undirected edges as index pairs, is a
+    constructor argument only: ``neighbours[i]`` keeps precinct i's
+    neighbours in ascending order, each edge once at either end."""
 
     precinct_ids: tuple[str, ...]
-    adjacency: tuple[tuple[int, int], ...]
+    adjacency: InitVar[Sequence[tuple[int, int]]]
     features: np.ndarray
     population: np.ndarray
     feature_names: tuple[str, ...]
-    neighbours: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    neighbours: tuple[tuple[int, ...], ...] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, adjacency) -> None:
         ids = tuple(str(s) for s in self.precinct_ids)
         if len(set(ids)) != len(ids):
             raise InvalidObjectFile("precinct ids must be unique")
@@ -611,10 +612,8 @@ class PrecinctGraph:
             raise ShapeMismatch(
                 f"{len(names)} feature names for {feats.shape[1]} columns"
             )
-        seen = set()
-        edges = []
-        neighbours: list[list[int]] = [[] for _ in range(P)]
-        for i, j in self.adjacency:
+        neighbours: list[set[int]] = [set() for _ in range(P)]
+        for i, j in adjacency:
             try:
                 i, j = _node_count(i), _node_count(j)
             except TypeError as exc:
@@ -623,18 +622,13 @@ class PrecinctGraph:
                 raise InvalidObjectFile(f"self-loop on precinct index {i}")
             if not (0 <= i < P and 0 <= j < P):
                 raise InvalidObjectFile(f"edge ({i}, {j}) out of range for {P} precincts")
-            key = (min(i, j), max(i, j))
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
-                neighbours[i].append(j)
-                neighbours[j].append(i)
+            neighbours[i].add(j)
+            neighbours[j].add(i)
         feats = feats.copy()
         feats.setflags(write=False)
         pop = pop.copy()
         pop.setflags(write=False)
         object.__setattr__(self, "precinct_ids", ids)
-        object.__setattr__(self, "adjacency", tuple(edges))
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "population", pop)
         object.__setattr__(self, "feature_names", names)
@@ -783,15 +777,23 @@ def match_districts(
 
 @dataclass(frozen=True)
 class PlanComparison:
-    """District-matched comparison of two plans: the matching, one solve
-    per matched pair (in matching order), their summed objectives, and the
-    per-pair suppression weights with their mean."""
+    """District-matched comparison of two plans: the matching and, for each
+    matched pair in matching order, its solve's objective, whether it
+    converged, and its suppression weights (a row of ``weight_matrix``).
+    It holds no plan: no command writes one."""
 
     matching: tuple[tuple[int, int], ...]
-    per_district: tuple[SolveResult, ...]
-    total_distance: float
-    mean_weights: np.ndarray
+    objectives: tuple[float, ...]
+    converged: tuple[bool, ...]
     weight_matrix: np.ndarray
+
+    @property
+    def total_distance(self) -> float:
+        return float(sum(self.objectives))
+
+    @property
+    def mean_weights(self) -> np.ndarray:
+        return self.weight_matrix.mean(axis=0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -799,14 +801,10 @@ class PlanComparison:
             "total_distance": self.total_distance,
             "mean_weights": self.mean_weights.tolist(),
             "per_district": [
-                {
-                    "district_p": pair[0],
-                    "district_q": pair[1],
-                    "objective": res.objective,
-                    "converged": res.converged,
-                    "weights": res.weights.w.tolist(),
-                }
-                for pair, res in zip(self.matching, self.per_district)
+                {"district_p": p, "district_q": q, "objective": objective,
+                 "converged": converged, "weights": w.tolist()}
+                for (p, q), objective, converged, w in zip(
+                    self.matching, self.objectives, self.converged, self.weight_matrix)
             ],
         }
 
@@ -816,8 +814,10 @@ def _district_key(plan: RedistrictingPlan, label: int) -> tuple[int, ...]:
 
 
 def _solve_districts(x, y, config):
-    # The pool task: it looks solve_fsfgw up here, where perfbench's tracer wraps it.
-    return solve_fsfgw(x, y, config)
+    # The pool task: it looks solve_fsfgw up here, where perfbench's tracer
+    # wraps it.  What it returns is the same bits in either orientation.
+    result = solve_fsfgw(x, y, config)
+    return result.objective, result.converged, result.weights.w
 
 
 def compare_plans(
@@ -832,11 +832,10 @@ def compare_plans(
     is matched once; each district (keyed on its sorted precinct indices)
     is built once and each unordered matched district pair solved once, in
     first-seen order and orientation, through ``_ordered_map`` with
-    ``workers``.  A pair met the other way round gets the stored result
-    with its plan transposed, the same bits as a new solve.  A
-    comparison's total distance is the sum of its matched-pair objectives;
-    its weight matrix stacks each pair's suppression weights (one row per
-    matched pair, in matching order).
+    ``workers``.  A pair met the other way round reuses that solve's
+    objective, convergence flag and weights, the same bits as a new solve.
+    A comparison's total distance is the sum of its matched-pair
+    objectives; its weight matrix stacks each pair's suppression weights.
     """
 
     _check_workers(workers)
@@ -845,7 +844,7 @@ def compare_plans(
             raise PrecinctUniverseMismatch(
                 f"plan {plan.plan_id!r} covers {plan.P} precincts, graph has {graph.P}"
             )
-    districts, first, matched = {}, {}, []  # first: unordered pair -> first orientation
+    districts, index, tasks, matched = {}, {}, [], []  # index: unordered pair -> task
     for i, plan_p in enumerate(plans):
         for plan_q in plans[i + 1 :]:
             rows = []
@@ -854,34 +853,29 @@ def compare_plans(
                 for key in keys:
                     if key not in districts:
                         districts[key] = district_object(graph, key)
-                rows.append((label_p, label_q, keys, frozenset(keys) in first))
-                first.setdefault(frozenset(keys), keys)
+                pair = frozenset(keys)
+                reused = pair in index
+                if not reused:
+                    index[pair] = len(tasks)
+                    tasks.append((districts[keys[0]], districts[keys[1]], config))
+                rows.append((label_p, label_q, reused, index[pair]))
             matched.append(rows)
-    tasks = [(districts[kp], districts[kq], config) for kp, kq in first.values()]
-    solved = dict(zip(first.values(), _ordered_map(_solve_districts, tasks, workers)))
+    solved = _ordered_map(_solve_districts, tasks, workers)
     comparisons = []
     for rows in matched:
-        results = []
-        for label_p, label_q, (kp, kq), reused in rows:
-            r = solved.get((kp, kq))
-            if r is None:
-                r = solved[kq, kp]
-                r = replace(r, plan=TransportPlan(r.plan.T.T, r.plan.col_marginal,
-                                                  r.plan.row_marginal))
+        for label_p, label_q, reused, t in rows:
             logger.info("district pair (%d, %d): objective %.6g, %s", label_p, label_q,
-                        r.objective, "reused" if reused else "solved")
-            results.append(r)
-        weight_matrix = np.array([r.weights.w for r in results])
+                        solved[t][0], "reused" if reused else "solved")
+        objectives, converged, weights = zip(*(solved[t] for *_, t in rows))
         comparisons.append(PlanComparison(
             matching=tuple((lp, lq) for lp, lq, _, _ in rows),
-            per_district=tuple(results),
-            total_distance=float(sum(r.objective for r in results)),
-            mean_weights=weight_matrix.mean(axis=0),
-            weight_matrix=weight_matrix,
+            objectives=objectives,
+            converged=converged,
+            weight_matrix=np.array(weights),
         ))
     asked = sum(map(len, matched))
     logger.info("built %d of %d districts and ran %d of %d solves",
-                len(districts), 2 * asked, len(first), asked)
+                len(districts), 2 * asked, len(tasks), asked)
     return comparisons
 
 
@@ -1014,7 +1008,7 @@ def load_precinct_graph(nodes_path: str | Path, edges_path: str | Path) -> Preci
     features = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(feature_names)))
     return PrecinctGraph(
         precinct_ids=tuple(ids),
-        adjacency=tuple(edges),
+        adjacency=edges,
         features=features,
         population=np.asarray(pops, dtype=float),
         feature_names=feature_names,

@@ -50,21 +50,14 @@ def emd_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     return float(res.fun), res.x.reshape(n, m)
 
 
-def checked_basis(arcs, a: np.ndarray, b: np.ndarray):
-    """A warm start for ``solve_emd`` built from a plain ``(arc_row,
-    arc_col, arc_flow)`` tuple: after checking that its n + m - 1 arcs lie
-    in the grid, carry the read-only marginals ``a`` and ``b``, and span
-    every node without a cycle (a traversal from row node 0), return them
-    as the basis the solver would have returned for these arrays.  A warm
-    solve from it is the reference for one from a returned basis."""
-
-    from fsfgw.transport import _Basis
+def assert_basis_tree(basis, a: np.ndarray, b: np.ndarray) -> None:
+    """Check a basis that ``solve_emd`` returned for marginals ``a`` and
+    ``b``: its n + m - 1 arcs lie in the grid, their flows carry the
+    marginals, and they span every node without a cycle (a traversal from
+    row node 0)."""
 
     n, m = a.shape[0], b.shape[0]
-    arc_row = np.array(arcs[0], dtype=np.int64)
-    arc_col = np.array(arcs[1], dtype=np.int64)
-    arc_flow = np.array(arcs[2], dtype=float)
-    assert not a.flags.writeable and not b.flags.writeable
+    arc_row, arc_col, arc_flow = basis
     assert all(part.shape == (n + m - 1,) for part in (arc_row, arc_col, arc_flow))
     assert 0 <= arc_row.min() and arc_row.max() < n
     assert 0 <= arc_col.min() and arc_col.max() < m
@@ -88,9 +81,6 @@ def checked_basis(arcs, a: np.ndarray, b: np.ndarray):
                 parent_arc[other] = k
                 stack.append(other)
     assert len(reached) == n + m, "the basis arcs do not span every node"
-    basis = _Basis((arc_row, arc_col, arc_flow))
-    basis.marginals = (a, b)
-    return basis
 
 
 def feature_cost_stack_loop(X: np.ndarray, Y: np.ndarray, q: float, norm: str) -> np.ndarray:

@@ -411,10 +411,7 @@ def test_12_planted_plan_localization(capsys):
 
     failures = []
     affected = {(2, 2), (3, 3)}
-    objectives = {
-        pair: res.objective
-        for pair, res in zip(comparison.matching, comparison.per_district)
-    }
+    objectives = dict(zip(comparison.matching, comparison.objectives))
     others = [v for pair, v in objectives.items() if pair not in affected]
     threshold = max(1e-8, 10.0 * max(others))
     flagged = {pair for pair, v in objectives.items() if v > threshold}

@@ -352,6 +352,20 @@ class TestSyntheticCommands:
         assert doc["error"] == "InvalidConfig"
         assert field in doc["message"]
 
+    @pytest.mark.parametrize("command", [["recover"], ["delta-sweep", "--deltas", "1.0"]])
+    @pytest.mark.parametrize("k", ["0", "6"])
+    def test_empty_or_full_planted_set_is_rejected_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, k
+    ):
+        monkeypatch.setattr(fsfgw.cli, "solve_fsfgw", pytest.fail)
+        code = main(["synthetic", *command, "--n", "16", "--d", "6", "--k", k,
+                     "--radius", "0.45", "--out", str(tmp_path / "o")])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert (doc["error"], doc["message"]) == (
+            "EmptySet", f"--k must lie strictly between 0 and --d = 6, got {k}"
+        )
+
     def test_bad_mode_list(self, tmp_path, capsys):
         code = main(
             ["synthetic", "delta-sweep", "--modes", "lasso,bogus",
