@@ -22,6 +22,7 @@ from .core import (
     InvalidPartition,
     ShapeMismatch,
     SolveResult,
+    SolverError,
     StructuredObject,
     SuppressionWeights,
     TraceEntry,

@@ -9,7 +9,8 @@ comparison on a precinct graph.
 Every run writes a ``manifest.json`` (command line, resolved config,
 input paths, output directory, seed, tool version) next to its outputs.
 Numeric CSV cells carry 12 significant digits.  Exit codes: 0 on success,
-2 on validation errors, 3 on solver errors; errors are reported as a JSON
+2 on validation errors, 3 on a ``SolverError`` or a pool helper that
+exited without reporting its task; errors are reported as a JSON
 object on stderr.  The ``FSFGW_LOG`` environment variable sets the log
 level.
 """
@@ -35,12 +36,10 @@ from .core import (
     FsFgwConfig,
     FsfgwError,
     InvalidConfig,
+    SolverError,
 )
-from .fgw import InstanceTooLarge
 from .pipelines import (
-    DisconnectedAfterRetries,
     EmptySet,
-    PairwiseSolveError,
     SyntheticSpec,
     _check_workers,
     compare_plans,
@@ -54,16 +53,11 @@ from .pipelines import (
     separation_metric,
 )
 from .suppression import solve_fsfgw
-from .transport import Infeasible, NumericalFailure
 
 logger = logging.getLogger("fsfgw")
 
 _SOLVER_ERRORS = (
-    Infeasible,
-    NumericalFailure,
-    InstanceTooLarge,
-    DisconnectedAfterRetries,
-    PairwiseSolveError,
+    SolverError,
     ChildProcessError,  # a pool helper exited without reporting its task
 )
 

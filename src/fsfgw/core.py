@@ -6,7 +6,9 @@ zero diagonal, a node probability measure ``a``, and a node feature matrix
 matrices and transport plans coupling the two measures.
 
 All types are frozen dataclasses carrying read-only numpy arrays, so
-instances are safe to share across threads and worker processes.
+instances are safe to share across threads and worker processes; those
+holding arrays compare by identity (``eq=False``), which keeps them
+hashable and ``==`` from comparing arrays.
 
 Each invariant is checked once, by the entry point that takes it:
 ``StructuredObject`` one object, ``FsFgwConfig`` a configuration,
@@ -15,11 +17,17 @@ against it, ``TransportPlan`` and ``SuppressionWeights`` the plan and
 weights a solve returns; ``solve_emd``, ``FgwProblem`` and ``solve_fgw``
 check the solver inputs.  ``LpSolution.T``, ``FgwSolve.T`` and the weight
 updates' arrays are unchecked output.
+
+The rules those checks share are decided here, once: ``_integer`` is the
+one test of a count, index or label (a Python or numpy integer; a bool,
+float or string raises the caller's error class, and nothing is
+truncated), ``_check_finite`` the one test that an array is finite, and
+``SolverError`` the base of every error a solver raises on valid input,
+which the command line reports as exit 3.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -38,6 +46,7 @@ __all__ = [
     "ShapeMismatch",
     "InvalidConfig",
     "InvalidPartition",
+    "SolverError",
     "StructuredObject",
     "TransportPlan",
     "SuppressionWeights",
@@ -88,12 +97,26 @@ class InvalidPartition(InvalidConfig):
     """Groups do not partition the feature index set."""
 
 
+class SolverError(FsfgwError):
+    """A solver could not finish on inputs that passed validation."""
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=float)
     if out is arr:
         out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def _integer(value, what: str, error: type[Exception]) -> int:
+    """``value`` as an int when it is a Python or numpy integer; a bool
+    (JSON true is a Python int), float or string raises ``error`` naming
+    ``what``, so nothing is truncated or parsed."""
+
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -109,7 +132,7 @@ def _check_q(q: float) -> None:
         raise InvalidConfig(f"q must be finite and >= 1, got {q}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredObject:
     """A structure cost matrix, a node measure, and node features.
 
@@ -180,7 +203,7 @@ class StructuredObject:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """A nonnegative coupling whose marginals match the stated measures.
 
@@ -229,7 +252,7 @@ def check_partition(
 ) -> tuple[tuple[int, ...], ...]:
     """Check that nonempty ``groups`` cover the indices 0..d-1 exactly once
     and return them as tuples of ints.  Indices must be integers (numpy
-    integers too); a float such as 0.7 or 1.0 is rejected, not rounded.
+    integers too); a bool, or a float such as 0.7 or 1.0, is rejected.
 
     ``d`` defaults to the largest index plus one, which is what a
     configuration can check before the feature count is known.
@@ -238,9 +261,10 @@ def check_partition(
     if not groups:
         raise InvalidPartition("a group partition is required")
     try:
-        groups = tuple(tuple(operator.index(i) for i in g) for g in groups)
-    except TypeError:
-        raise InvalidPartition("groups must be lists of integer feature indices") from None
+        groups = tuple(tuple(_integer(i, "feature index", InvalidPartition) for i in g)
+                       for g in groups)
+    except TypeError:  # a group that is not a sequence
+        raise InvalidPartition("groups must be lists of feature indices") from None
     flat = sorted(i for g in groups for i in g)
     if d is None:
         d = flat[-1] + 1 if flat else 0
@@ -251,7 +275,7 @@ def check_partition(
     return groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuppressionWeights:
     """Per-feature suppression levels in [0, 1] tagged with their mode.
 
@@ -355,10 +379,7 @@ class FsFgwConfig:
         elif self.groups is not None:
             raise InvalidConfig(f"groups are only meaningful for group_simplex mode")
         for name, least in (("max_outer_iter", 1), ("restarts", 0), ("seed", 0)):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError:
-                raise InvalidConfig(f"{name} must be an integer") from None
+            value = _integer(getattr(self, name), name, InvalidConfig)
             if value < least:
                 raise InvalidConfig(f"{name} must be >= {least}")
             object.__setattr__(self, name, value)
@@ -371,7 +392,7 @@ class TraceEntry(NamedTuple):
     dw: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Outcome of an alternating suppression/transport solve.
 

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FsfgwError, InvalidConfig, ShapeMismatch, _check_q
+from .core import InvalidConfig, ShapeMismatch, SolverError, _check_finite, _check_q
 from .transport import Basis, line_search_quadratic, solve_emd
 
 __all__ = [
@@ -68,7 +68,7 @@ _CG_MAX_ITER = 200
 _CG_TOL = 1e-9
 
 
-class InstanceTooLarge(FsfgwError):
+class InstanceTooLarge(SolverError):
     """Direct contraction requested beyond the n * m size cap."""
 
 
@@ -194,7 +194,7 @@ def gw_gradient(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -
     return 2.0 * _k_dense(T, C1, C2, q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FgwProblem:
     """The fixed half of a fused transport problem: structure matrices,
     trade-off ``alpha``, exponent ``q``, and the two marginals, checked
@@ -225,8 +225,7 @@ class FgwProblem:
             raise InvalidConfig(f"alpha must lie in [0, 1], got {self.alpha}")
         _check_q(self.q)
         for name, arr in (("C1", C1), ("C2", C2), ("a", a), ("b", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ShapeMismatch(f"{name} contains non-finite entries")
+            _check_finite(arr, name)
             object.__setattr__(self, name, arr)
         # Read-only, so that solve_emd may trust an LP basis it returned
         # for these very arrays.
@@ -305,8 +304,7 @@ def solve_fgw(
     M = np.asarray(M_eff, dtype=float)
     if M.shape != shape:
         raise ShapeMismatch(f"M_eff of shape {M.shape} does not fit a {shape} plan")
-    if not np.all(np.isfinite(M)):
-        raise ShapeMismatch("M_eff contains non-finite entries")
+    _check_finite(M, "M_eff")
     T = np.outer(a, b) if init is None else np.array(init, dtype=float)
     if T.shape != shape:
         raise ShapeMismatch(f"warm start of shape {T.shape} does not fit a {shape} plan")

@@ -29,7 +29,6 @@ import json
 import logging
 import multiprocessing
 import multiprocessing.connection
-import operator
 import os
 from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
@@ -43,8 +42,11 @@ from .core import (
     InvalidConfig,
     ShapeMismatch,
     SolveResult,
+    SolverError,
     StructuredObject,
     SuppressionWeights,
+    _check_finite,
+    _integer,
 )
 from .suppression import solve_fsfgw
 
@@ -85,7 +87,7 @@ logger = logging.getLogger("fsfgw")
 RESAMPLE_ATTEMPTS = 20
 
 
-class DisconnectedAfterRetries(FsfgwError):
+class DisconnectedAfterRetries(SolverError):
     """No sufficiently large connected component after resampling."""
 
 
@@ -109,7 +111,7 @@ class PrecinctUniverseMismatch(FsfgwError):
     """Two plans do not cover the same precincts."""
 
 
-class PairwiseSolveError(FsfgwError):
+class PairwiseSolveError(SolverError):
     """A pairwise solve failed; the message names the pair."""
 
 
@@ -119,13 +121,6 @@ class InvalidObjectFile(FsfgwError):
 
 # ---------------------------------------------------------------------------
 # graph helpers
-
-
-def _node_count(value) -> int:
-    # JSON true is a Python int, and int() would truncate 2.5 or parse "3".
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _bfs(neighbours: Sequence[Sequence[int]], source: int, hops: list[int]) -> list[int]:
@@ -162,18 +157,13 @@ def geodesic_structure(
     search per node: O(k (k + E)) time on k nodes and E edges.
     """
 
-    try:
-        nodes = [_node_count(v) for v in nodes]
-    except TypeError as exc:
-        raise ShapeMismatch(f"node values must be integers: {exc}") from exc
+    nodes = [_integer(v, "node", ShapeMismatch) for v in nodes]
     local = {v: i for i, v in enumerate(nodes)}
     k = len(nodes)
     neighbours: list[list[int]] = [[] for _ in range(k)]
     for i, j in adjacency:
-        try:
-            i, j = _node_count(i), _node_count(j)
-        except TypeError as exc:
-            raise ShapeMismatch(f"edge ({i!r}, {j!r}): {exc}") from exc
+        i = _integer(i, "edge endpoint", ShapeMismatch)
+        j = _integer(j, "edge endpoint", ShapeMismatch)
         if i in local and j in local and i != j:
             neighbours[local[i]].append(local[j])
             neighbours[local[j]].append(local[i])
@@ -214,11 +204,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "d", "k"):
-            try:
-                object.__setattr__(self, name, _node_count(getattr(self, name)))
-            except TypeError as exc:
-                raise InvalidConfig(f"{name}: {exc}") from None
+        for name in ("n", "d", "k", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, InvalidConfig))
         if self.n < 2:
             raise InvalidConfig(f"n must be >= 2, got {self.n}")
         if self.d < 1:
@@ -229,13 +216,8 @@ class SyntheticSpec:
             raise InvalidConfig(f"delta must be finite and >= 0, got {self.delta}")
         if not (self.geo_radius > 0.0):
             raise InvalidConfig(f"geo_radius must be > 0, got {self.geo_radius}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}") from None
-        if seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 def _sample_geometric_graph(rng: np.random.Generator, n: int, radius: float):
@@ -296,7 +278,7 @@ def separation_metric(
 
     w = weights.w if isinstance(weights, SuppressionWeights) else np.asarray(weights, float)
     d = w.shape[0]
-    diff = sorted(int(i) for i in diff_set)
+    diff = sorted(_integer(i, "diff index", ShapeMismatch) for i in diff_set)
     if any(i < 0 or i >= d for i in diff):
         raise ShapeMismatch(f"diff indices out of range for {d} features")
     if len(diff) == 0 or len(diff) >= d:
@@ -412,7 +394,7 @@ def _helper(task, args, counter, conn) -> None:
 
 def _check_workers(workers: int) -> None:
     # Called before any input is read or built, not only in _ordered_map.
-    if workers < 1:
+    if _integer(workers, "workers", InvalidConfig) < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
 
 
@@ -577,7 +559,7 @@ def complete_linkage_cluster(D: np.ndarray) -> list[Merge]:
 # redistricting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecinctGraph:
     """Per-precinct features and population for one state of affairs, and
     the precinct adjacency; precincts are indexed by file order and named by
@@ -603,8 +585,8 @@ class PrecinctGraph:
             raise ShapeMismatch(f"features must have {P} rows, got {feats.shape}")
         if pop.shape != (P,):
             raise ShapeMismatch(f"population must have length {P}, got {pop.shape}")
-        if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(pop)):
-            raise ShapeMismatch("features and population must be finite")
+        _check_finite(feats, "features")
+        _check_finite(pop, "population")
         if pop.min(initial=0.0) < 0.0:
             raise InvalidObjectFile("population must be nonnegative")
         names = tuple(str(s) for s in self.feature_names)
@@ -614,10 +596,8 @@ class PrecinctGraph:
             )
         neighbours: list[set[int]] = [set() for _ in range(P)]
         for i, j in adjacency:
-            try:
-                i, j = _node_count(i), _node_count(j)
-            except TypeError as exc:
-                raise InvalidObjectFile(f"edge ({i!r}, {j!r}): {exc}") from exc
+            i = _integer(i, "edge endpoint", InvalidObjectFile)
+            j = _integer(j, "edge endpoint", InvalidObjectFile)
             if i == j:
                 raise InvalidObjectFile(f"self-loop on precinct index {i}")
             if not (0 <= i < P and 0 <= j < P):
@@ -643,24 +623,27 @@ class PrecinctGraph:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RedistrictingPlan:
-    """A district label in 1..D for every precinct."""
+    """A district label in 1..D for every precinct, in an integer array
+    (float or bool labels raise ``InvalidObjectFile``)."""
 
     plan_id: str
     assignment: np.ndarray
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.int64)
+        assignment = np.array(self.assignment)  # a copy, made read-only below
         if assignment.ndim != 1 or assignment.shape[0] < 1:
             raise ShapeMismatch("assignment must be a nonempty vector")
+        if not np.issubdtype(assignment.dtype, np.integer):
+            raise InvalidObjectFile(
+                f"district labels must be integers, got dtype {assignment.dtype}")
         labels = np.unique(assignment)
         D = int(labels.max())
         if labels.min() < 1 or labels.shape[0] != D:
             raise InvalidObjectFile(
                 f"district labels must be exactly 1..D with none empty, got {labels.tolist()}"
             )
-        assignment = assignment.copy()
         assignment.setflags(write=False)
         object.__setattr__(self, "assignment", assignment)
 
@@ -678,18 +661,17 @@ def district_object(graph: PrecinctGraph, indices: Sequence[int]) -> StructuredO
     subgraph, population-normalized measure (uniform fallback when the
     district's population is zero), and precinct features."""
 
-    idx = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
-    if idx.shape[0] == 0:
+    members = sorted(_integer(i, "precinct index", ShapeMismatch) for i in indices)
+    if not members:
         raise EmptySet("a district must contain at least one precinct")
-    members = idx.tolist()
     inside = set(members)
     induced = [(i, j) for i in members for j in graph.neighbours[i] if j > i and j in inside]
     C = geodesic_structure(induced, members)
-    pop = graph.population[idx]
+    pop = graph.population[members]
     total = pop.sum()
-    a = pop / total if total > 0 else np.full(idx.shape[0], 1.0 / idx.shape[0])
+    a = pop / total if total > 0 else np.full(len(members), 1.0 / len(members))
     return StructuredObject(
-        C=C, a=a, X=graph.features[idx], feature_names=graph.feature_names
+        C=C, a=a, X=graph.features[members], feature_names=graph.feature_names
     )
 
 
@@ -775,7 +757,7 @@ def match_districts(
     return [(r + 1, c + 1) for r, c in enumerate(_assignment(H))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanComparison:
     """District-matched comparison of two plans: the matching and, for each
     matched pair in matching order, its solve's objective, whether it
@@ -925,7 +907,7 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
     def floats(value):
         return np.asarray(value, dtype=float)
 
-    n = read("n", _node_count)
+    n = read("n", lambda v: _integer(v, "n", TypeError))
     if n < 1:
         raise InvalidObjectFile(f"{where}: n must be >= 1, got {n}")
     X = read("X", floats)
@@ -940,7 +922,9 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
             raise InvalidObjectFile(
                 f"{where}: edge-list objects must declare structure: \"geodesic\""
             )
-        edges = read("edges", lambda e: [(_node_count(i), _node_count(j)) for i, j in e])
+        edges = read("edges", lambda e: [
+            (_integer(i, "endpoint", TypeError), _integer(j, "endpoint", TypeError))
+            for i, j in e])
         if any(not (0 <= i < n and 0 <= j < n) for i, j in edges):
             raise InvalidObjectFile(f"{where}: edge endpoints out of range for n={n}")
         C = geodesic_structure(edges, range(n))
@@ -1046,7 +1030,7 @@ def load_plan_csv(
             f"{path}: plan does not cover the precinct universe "
             f"(missing {missing[:5]}, extra {extra[:5]})"
         )
-    assignment = np.array([seen[pid] for pid in graph.precinct_ids], dtype=np.int64)
+    assignment = [seen[pid] for pid in graph.precinct_ids]
     if plan_id is None:
         stem = Path(path).stem
         plan_id = stem[5:] if stem.startswith("plan_") else stem

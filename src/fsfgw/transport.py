@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FsfgwError, ShapeMismatch
+from .core import FsfgwError, ShapeMismatch, SolverError
 
 __all__ = [
     "Infeasible",
@@ -76,11 +76,11 @@ _SCALING_MAX_ITERS = 10_000
 _SCALING_TOL = 1e-12
 
 
-class Infeasible(FsfgwError):
+class Infeasible(SolverError):
     """The two marginals cannot be coupled (sums differ beyond tolerance)."""
 
 
-class NumericalFailure(FsfgwError):
+class NumericalFailure(SolverError):
     """The pivoting loop exceeded its cycling guard."""
 
 
@@ -92,7 +92,7 @@ class InvalidBasis(FsfgwError):
 Basis = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """An optimal vertex plan, its objective value, the pivot count, and
     the final basis.

@@ -13,7 +13,9 @@ Two closed forms that the package itself never evaluates live here too:
 ``fgw_objective`` (the fused objective at a plan, on the package's own
 ``gw_value``) and ``reduced_objective_g`` (the weight subproblem
 minimized in closed form).  ``assert_coupling`` states what the solvers'
-unchecked plan arrays must satisfy.
+unchecked plan arrays must satisfy.  ``planted_plan_fixture`` is the
+redistricting test fixture, and ``write_planted_plan_csvs`` its one
+writer to the CSV files that the loaders and the command line read.
 """
 
 from __future__ import annotations
@@ -430,3 +432,26 @@ def planted_plan_fixture(seed: int = 5):
     assignment_q = assignment_p.copy()
     assignment_q[moved] = 3
     return ids, edges, features, population, assignment_p, assignment_q, moved
+
+
+def write_planted_plan_csvs(directory):
+    """Write ``planted_plan_fixture`` as the CSV files the package reads:
+    nodes.csv (features v0..v3), edges.csv, plan_p.csv and plan_q.csv in
+    ``directory``.  Returns the four paths in that order."""
+
+    ids, edges, features, population, assign_p, assign_q, _ = planted_plan_fixture()
+    nodes = directory / "nodes.csv"
+    lines = ["precinct_id,population," + ",".join(f"v{r}" for r in range(features.shape[1]))]
+    for i, pid in enumerate(ids):
+        feats = ",".join(repr(float(v)) for v in features[i])
+        lines.append(f"{pid},{float(population[i])!r},{feats}")
+    nodes.write_text("\n".join(lines) + "\n")
+    epath = directory / "edges.csv"
+    rows = ["precinct_id_a,precinct_id_b"] + [f"{ids[i]},{ids[j]}" for i, j in edges]
+    epath.write_text("\n".join(rows) + "\n")
+    plans = []
+    for name, assignment in (("plan_p.csv", assign_p), ("plan_q.csv", assign_q)):
+        body = ["precinct_id,district"] + [f"{pid},{d}" for pid, d in zip(ids, assignment)]
+        plans.append(directory / name)
+        plans[-1].write_text("\n".join(body) + "\n")
+    return nodes, epath, plans[0], plans[1]

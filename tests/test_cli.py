@@ -34,32 +34,6 @@ def write_object(path, rng, n, d, names=None, a=None):
     return obj
 
 
-def write_grid_fixture(tmp_path):
-    """The 6x5 grid with three column-band districts and one moved precinct."""
-    ids, edges, features, population, assign_p, assign_q, _ = (
-        oracles.planted_plan_fixture()
-    )
-    nodes = tmp_path / "nodes.csv"
-    lines = ["precinct_id,population,v0,v1,v2,v3"]
-    for i, pid in enumerate(ids):
-        feats = ",".join(repr(float(v)) for v in features[i])
-        lines.append(f"{pid},{float(population[i])!r},{feats}")
-    nodes.write_text("\n".join(lines) + "\n")
-    epath = tmp_path / "edges.csv"
-    rows = ["precinct_id_a,precinct_id_b"]
-    for i, j in edges:
-        rows.append(f"{ids[i]},{ids[j]}")
-    epath.write_text("\n".join(rows) + "\n")
-    plans = {}
-    for name, assignment in (("plan_p.csv", assign_p), ("plan_q.csv", assign_q)):
-        body = ["precinct_id,district"]
-        for pid, dist in zip(ids, assignment):
-            body.append(f"{pid},{dist}")
-        (tmp_path / name).write_text("\n".join(body) + "\n")
-        plans[name] = tmp_path / name
-    return nodes, epath, plans["plan_p.csv"], plans["plan_q.csv"]
-
-
 def read_csv_lines(path):
     return path.read_text().strip().splitlines()
 
@@ -184,11 +158,14 @@ class TestSolveValidationErrors:
     def test_non_integral_group_indices(self, tmp_path, capsys):
         x, y = self.write_pair(tmp_path)
         gpath = tmp_path / "groups.json"
-        gpath.write_text("[[0.7], [1.2], [2]]")
-        code = main(["solve", str(x), str(y), "--mode", "group_simplex",
-                     "--groups", str(gpath), "--out", str(tmp_path / "o")])
-        doc = self.assert_error_json(capsys, code, 2)
-        assert doc["error"] == "InvalidPartition"
+        # JSON true is a Python int: it must not be read as feature 1.
+        for groups in ("[[0.7], [1.2], [2]]", "[[true, false], [2]]"):
+            gpath.write_text(groups)
+            code = main(["solve", str(x), str(y), "--mode", "group_simplex",
+                         "--groups", str(gpath), "--out", str(tmp_path / "o")])
+            doc = self.assert_error_json(capsys, code, 2)
+            assert doc["error"] == "InvalidPartition"
+        assert not (tmp_path / "o" / "result.json").exists()
 
     @pytest.mark.parametrize(
         "fault",
@@ -274,6 +251,23 @@ class TestSolveValidationErrors:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+def test_each_exported_error_has_its_exit_code(tmp_path, capsys, monkeypatch):
+    # Exit 3 is a SolverError: a solver that could not finish on valid input.
+    solver = {"SolverError", "Infeasible", "NumericalFailure", "InstanceTooLarge",
+              "DisconnectedAfterRetries", "PairwiseSolveError"}
+    exported = {name for name in fsfgw.__all__ if isinstance(getattr(fsfgw, name), type)
+                and issubclass(getattr(fsfgw, name), fsfgw.FsfgwError)}
+    assert solver < exported and "InvalidBasis" in exported
+    for name in sorted(exported):
+        def planted(path, error=getattr(fsfgw, name)):
+            raise error("planted")
+
+        monkeypatch.setattr(fsfgw.cli, "load_structured_object", planted)
+        code = main(["solve", "x.json", "y.json", "--out", str(tmp_path / "o")])
+        doc = json.loads(capsys.readouterr().err)
+        assert (doc["error"], code) == (name, 3 if name in solver else 2)
 
 
 def test_readme_quickstart_lines_parse():
@@ -568,7 +562,7 @@ class TestRedistrictCommands:
         self, tmp_path, capsys, started_helpers, usable_cpus
     ):
         usable_cpus(64)  # so that the distinct solves are the binding cap
-        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
         code = main(
             ["redistrict", "matrix", str(nodes), str(edges), str(plan_p), str(plan_q),
              str(plan_p), "--workers", "64", "--out", str(tmp_path / "o")]
@@ -580,7 +574,7 @@ class TestRedistrictCommands:
         assert len(started_helpers) == 4
 
     def test_compare_identical_plans(self, tmp_path, capsys):
-        nodes, edges, plan_p, _ = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, _ = oracles.write_planted_plan_csvs(tmp_path)
         out = tmp_path / "out"
         code = main(
             ["redistrict", "compare", str(nodes), str(edges), str(plan_p), str(plan_p),
@@ -599,7 +593,7 @@ class TestRedistrictCommands:
         assert (out / "manifest.json").exists()
 
     def test_compare_differing_plans(self, tmp_path, capsys):
-        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
         out = tmp_path / "out"
         code = main(
             ["redistrict", "compare", str(nodes), str(edges), str(plan_p), str(plan_q),
@@ -631,7 +625,7 @@ class TestRedistrictCommands:
         assert doc["error"] == "DisconnectedDistrict"
 
     def test_matrix(self, tmp_path, capsys):
-        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
         third = tmp_path / "plan_r.csv"
         third.write_text(plan_p.read_text())
         out = tmp_path / "out"
@@ -651,7 +645,7 @@ class TestRedistrictCommands:
         assert grid[0, 1] > 1e-6
 
     def test_cluster(self, tmp_path, capsys):
-        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
         third = tmp_path / "plan_r.csv"
         third.write_text(plan_p.read_text())
         fourth = tmp_path / "plan_s.csv"
@@ -675,7 +669,7 @@ class TestRedistrictCommands:
         assert (out / "plan_distances.csv").exists()
 
     def test_cluster_workers_do_not_change_the_output(self, tmp_path, capsys):
-        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
         third = tmp_path / "plan_r.csv"
         third.write_text(plan_p.read_text())
         argv = ["redistrict", "cluster", str(nodes), str(edges),
@@ -691,7 +685,7 @@ class TestRedistrictCommands:
     def three_plans(tmp_path):
         """The grid fixture's plans p and q plus r, a copy of p: the (q, r)
         comparison meets the district pairs of (p, q) swapped."""
-        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
         third = tmp_path / "plan_r.csv"
         third.write_text(plan_p.read_text())
         return [str(nodes), str(edges), str(plan_p), str(plan_q), str(third)]
@@ -748,7 +742,7 @@ class TestRedistrictCommands:
         assert summaries == ["built 5 of 18 districts and ran 5 of 9 solves"] * 2
 
     def test_matrix_needs_two_plans(self, tmp_path, capsys):
-        nodes, edges, plan_p, _ = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, _ = oracles.write_planted_plan_csvs(tmp_path)
         code = main(
             ["redistrict", "matrix", str(nodes), str(edges), str(plan_p),
              "--out", str(tmp_path / "o")]
@@ -770,7 +764,7 @@ def test_workers_below_one_are_a_validation_error(
             write_object(obj_dir / f"g{k}.json", rng, 4, 3)
         argv = ["pairwise", str(obj_dir)]
     else:
-        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
         argv = ["redistrict", command, str(nodes), str(edges), str(plan_p), str(plan_q)]
     # The count is checked before any input is read.
     for module, name in ((fsfgw.cli, "load_structured_object"),
@@ -789,7 +783,7 @@ def test_bench_tracer_sees_every_layer(tmp_path, capsys):
     tracer_module = load_perfbench("tracer")
     workloads = load_perfbench("workloads").WORKLOADS
     cluster, pairwise = workloads["redistrict-cluster"], workloads["pairwise-q1-pool"]
-    nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+    nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
     rng = np.random.default_rng(9)
     paths = [tmp_path / f"g{k}.json" for k in range(3)]
     for path in paths:
@@ -883,13 +877,13 @@ class TestScipyLoadsOnFirstUse:
             assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
     def test_redistrict_compare_gives_the_in_process_bits(self, tmp_path, capsys):
-        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
         argv = ["redistrict", "compare", str(nodes), str(edges), str(plan_p), str(plan_q)]
         self.assert_fresh_run_loads_no_scipy(tmp_path, capsys, argv,
                                              ("comparison.json", "weight_heatmap.csv"))
 
     def test_redistrict_cluster_gives_the_in_process_bits(self, tmp_path, capsys):
-        nodes, edges, plan_p, plan_q = write_grid_fixture(tmp_path)
+        nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)
         argv = ["redistrict", "cluster", str(nodes), str(edges), str(plan_p), str(plan_q)]
         self.assert_fresh_run_loads_no_scipy(tmp_path, capsys, argv,
                                              ("plan_distances.csv", "dendrogram.json"))

@@ -41,6 +41,13 @@ class TestStructuredObject:
         assert np.array_equal(obj.C, obj.C.T)
         assert obj.a.sum() == pytest.approx(1.0, abs=1e-15)
 
+    def test_compared_by_identity_and_hashable(self):
+        rng = np.random.default_rng(0)
+        obj = make_object(rng, 3, 2)
+        twin = StructuredObject(C=obj.C, a=obj.a, X=obj.X)
+        assert obj == obj and obj != twin  # no array comparison, so no ValueError
+        assert {obj: "x", twin: "y"}[obj] == "x"
+
     def test_near_symmetric_cost_is_symmetrized_exactly(self):
         C = np.array([[0.0, 1.0], [1.0 + 1e-10, 0.0]])
         obj = StructuredObject(C=C, a=[0.5, 0.5], X=np.zeros((2, 1)))
@@ -214,7 +221,8 @@ class TestFsFgwConfig:
         "field, value",
         [("lam", np.inf), ("lam", np.nan), ("q", np.inf), ("q", np.nan),
          ("alpha", np.nan), ("max_outer_iter", 2.5), ("max_outer_iter", 2.0),
-         ("restarts", 1.5), ("restarts", "1"), ("seed", 1.5), ("seed", "1")],
+         ("max_outer_iter", True), ("restarts", 1.5), ("restarts", "1"), ("seed", 1.5),
+         ("seed", "1"), ("seed", True)],
     )
     def test_non_finite_and_non_integral_values(self, field, value):
         with pytest.raises(InvalidConfig):

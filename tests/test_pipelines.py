@@ -242,7 +242,7 @@ class TestGenerateSyntheticPair:
         for name, value in [("n", 12.5), ("d", 3.0), ("k", True), ("n", "12"),
                             ("delta", float("nan")), ("delta", float("inf")),
                             ("geo_radius", float("nan")), ("geo_radius", 0.0),
-                            ("seed", -1), ("seed", 1.5)]:
+                            ("seed", -1), ("seed", 1.5), ("seed", True)]:
             with pytest.raises(InvalidConfig, match=name):
                 SyntheticSpec(**{name: value})
         assert type(SyntheticSpec(n=np.int64(12)).n) is int
@@ -309,6 +309,12 @@ class TestSeparationMetric:
         with pytest.raises(ShapeMismatch):
             separation_metric([1.0, 0.0], {5})
 
+    @pytest.mark.parametrize("index", [0.7, True])
+    def test_rejects_non_integer_indices(self, index):
+        # int() would score feature 0 or 1.
+        with pytest.raises(ShapeMismatch, match="expected an integer"):
+            separation_metric([1.0, 0.0, 0.0], [index])
+
 
 class TestRocSweep:
     def test_trapezoid_unit_cases(self):
@@ -373,6 +379,13 @@ class TestPairwiseDistanceMatrix:
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_are_rejected(self, workers):
         with pytest.raises(InvalidConfig, match="workers must be >= 1"):
+            pairwise_distance_matrix([pytest.fail] * 3, QUICK, workers)
+
+    @pytest.mark.parametrize("workers", [2.5, True])
+    def test_workers_must_be_an_integer(self, usable_cpus, workers):
+        # With four usable CPUs 2.5 would reach the pool; the check comes first.
+        usable_cpus(4)
+        with pytest.raises(InvalidConfig, match="workers: expected an integer"):
             pairwise_distance_matrix([pytest.fail] * 3, QUICK, workers)
 
     def test_failures_name_the_pair(self):
@@ -517,6 +530,12 @@ class TestDistrictsAndMatching:
         with pytest.raises(EmptySet):
             district_object(graph, [])
 
+    @pytest.mark.parametrize("indices", [[0.5], [0.5, 1.9], [True]])
+    def test_non_integer_precinct_indices_rejected(self, indices):
+        graph, _, _, _ = band_fixture()
+        with pytest.raises(ShapeMismatch, match="expected an integer"):
+            district_object(graph, indices)
+
     def test_disconnected_district_rejected(self):
         graph, _, _, _ = band_fixture()
         # Precincts 0 and 12 sit in different columns of the grid with no
@@ -596,6 +615,9 @@ class TestDistrictsAndMatching:
             RedistrictingPlan(plan_id="p", assignment=[1, 3, 3])
         with pytest.raises(InvalidObjectFile):
             RedistrictingPlan(plan_id="p", assignment=[0, 1, 2])
+        # Float labels are rejected, not truncated to [1, 2, 1].
+        with pytest.raises(InvalidObjectFile, match="integers"):
+            RedistrictingPlan(plan_id="p", assignment=[1.9, 2.2, 1.0])
 
 
 class TestComparePlans:
@@ -807,31 +829,11 @@ class TestObjectFiles:
             load_structured_object([1, 2, 3])
 
 
-def write_band_csvs(tmp_path):
-    graph, plan_p, plan_q, _ = band_fixture()
-    nodes = tmp_path / "nodes.csv"
-    lines = ["precinct_id,population," + ",".join(graph.feature_names)]
-    for i, pid in enumerate(graph.precinct_ids):
-        feats = ",".join(repr(float(v)) for v in graph.features[i])
-        lines.append(f"{pid},{float(graph.population[i])!r},{feats}")
-    nodes.write_text("\n".join(lines) + "\n")
-    edges = tmp_path / "edges.csv"
-    rows = ["precinct_id_a,precinct_id_b"]
-    for i, nb in enumerate(graph.neighbours):
-        rows += [f"{graph.precinct_ids[i]},{graph.precinct_ids[j]}" for j in nb if j > i]
-    edges.write_text("\n".join(rows) + "\n")
-    for name, plan in (("plan_p.csv", plan_p), ("plan_q.csv", plan_q)):
-        body = ["precinct_id,district"]
-        for pid, dist in zip(graph.precinct_ids, plan.assignment):
-            body.append(f"{pid},{dist}")
-        (tmp_path / name).write_text("\n".join(body) + "\n")
-    return graph, plan_p, plan_q
-
-
 class TestPrecinctCsvs:
     def test_round_trip(self, tmp_path):
-        graph, plan_p, _ = write_band_csvs(tmp_path)
-        loaded = load_precinct_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+        graph, plan_p, _, _ = band_fixture()
+        nodes, edges, _, _ = oracles.write_planted_plan_csvs(tmp_path)
+        loaded = load_precinct_graph(nodes, edges)
         assert loaded.precinct_ids == graph.precinct_ids
         assert loaded.neighbours == graph.neighbours
         assert np.allclose(loaded.features, graph.features, atol=1e-15)
@@ -895,6 +897,10 @@ class TestPrecinctCsvs:
         plan.write_text("district,precinct_id\n1,a\n2,b\n")
         with pytest.raises(InvalidObjectFile):
             load_plan_csv(plan, graph)
+        # A label beyond int64 is no integer label (it raised OverflowError).
+        plan.write_text("precinct_id,district\na,1\nb,99999999999999999999999\n")
+        with pytest.raises(InvalidObjectFile, match="integers"):
+            load_plan_csv(plan, graph)
 
     def test_graph_validation(self):
         with pytest.raises(InvalidObjectFile):
@@ -921,6 +927,17 @@ class TestPrecinctCsvs:
                 precinct_ids=("a", "b", "c"), adjacency=((0, bad), (1, 2)),
                 features=np.zeros((3, 1)), population=np.ones(3), feature_names=("v0",),
             )
+
+    def test_graphs_compare_by_identity(self):
+        graphs = [
+            PrecinctGraph(
+                precinct_ids=("a", "b"), adjacency=((0, 1),),
+                features=np.zeros((2, 1)), population=np.ones(2), feature_names=("v0",),
+            )
+            for _ in range(2)
+        ]
+        assert graphs[0] != graphs[1] and graphs[0] == graphs[0]
+        assert len({*graphs}) == 2
 
     def test_duplicate_edges_are_collapsed(self):
         graph = PrecinctGraph(
