@@ -49,7 +49,6 @@ from .pipelines import (
     InvalidObjectFile,
     Merge,
     PairRecord,
-    PairwiseSolveError,
     PlanComparison,
     PrecinctGraph,
     PrecinctUniverseMismatch,

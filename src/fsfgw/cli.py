@@ -32,7 +32,6 @@ from . import __version__
 from .core import (
     FEATURE_NORMS,
     MODES,
-    DimensionMismatch,
     FsFgwConfig,
     FsfgwError,
     InvalidConfig,
@@ -88,18 +87,17 @@ def _config_dict(config: FsFgwConfig) -> dict:
 
 
 def _write_manifest(
-    out: Path, command: list[str], config: FsFgwConfig | list[FsFgwConfig],
-    inputs: list[str], seed: int,
+    out: Path, args, config: FsFgwConfig | list[FsFgwConfig], inputs: list[str]
 ) -> None:
     # A list of configs (one per swept mode) is recorded as a list, in order.
     doc = {
-        "command": command,
+        "command": args.command_line,
         "config": (
             [_config_dict(c) for c in config] if isinstance(config, list) else _config_dict(config)
         ),
         "input_paths": inputs,
         "output_dir": str(out),
-        "seed": seed,
+        "seed": args.seed,
         "tool_version": __version__,
     }
     with open(out / "manifest.json", "w") as fh:
@@ -176,9 +174,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="per_feature rescales each feature's cost matrix to maximum 1; "
         "none keeps raw costs",
     )
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-outer-iter", type=int, default=50)
     parser.add_argument("--out", default="fsfgw_out", help="output directory")
+    # --seed is synthetic-only; other commands run with the config default.
+    parser.set_defaults(seed=FsFgwConfig.seed)
 
 
 def _weights_csv_rows(result, names=None) -> list[list[str]]:
@@ -207,7 +206,7 @@ def cmd_solve(args) -> int:
         ["feature", "name", "weight", "score"],
         _weights_csv_rows(result, x.feature_names),
     )
-    _write_manifest(out, args.command_line, config, [str(args.x), str(args.y)], args.seed)
+    _write_manifest(out, args, config, [str(args.x), str(args.y)])
     print(
         f"objective {_g(result.objective)} converged {result.converged} "
         f"outer_iters {result.outer_iters}"
@@ -255,7 +254,7 @@ def cmd_synthetic_recover(args) -> int:
     _write_csv(
         out / "weights.csv", ["feature", "name", "weight", "score", "differentiating"], rows
     )
-    _write_manifest(out, args.command_line, config, [], args.seed)
+    _write_manifest(out, args, config, [])
     print(f"separation {_g(sep)}")
     return 0
 
@@ -274,15 +273,11 @@ def _parse_deltas(text: str) -> list[float]:
 
 def cmd_synthetic_delta_sweep(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for mode in modes:
-        if mode not in MODES:
-            raise InvalidConfig(f"unknown mode {mode!r} in --modes")
     deltas = _parse_deltas(args.deltas)
     spec = _synthetic_spec(args)
     groups = _load_groups(args.groups)
     if groups is None:
         groups = _default_groups(spec.d, spec.k)
-    out = _out_dir(args)
     # The level flags apply to lasso and ridge only, and groups to
     # group_simplex only, so one flag set sweeps every mode.
     configs = [
@@ -295,16 +290,17 @@ def cmd_synthetic_delta_sweep(args) -> int:
         )
         for mode in modes
     ]
+    out = _out_dir(args)
     rows = []
     for delta in deltas:
         x, y, diff = generate_synthetic_pair(dataclasses.replace(spec, delta=delta))
-        for mode, config in zip(modes, configs):
+        for config in configs:
             result = solve_fsfgw(x, y, config)
             sep = separation_metric(result.weights, diff)
-            rows.append([_g(delta), mode, _g(sep)])
-            logger.info("delta %.3g mode %s separation %.4f", delta, mode, sep)
+            rows.append([_g(delta), config.mode, _g(sep)])
+            logger.info("delta %.3g mode %s separation %.4f", delta, config.mode, sep)
     _write_csv(out / "sweep.csv", ["delta", "mode", "separation"], rows)
-    _write_manifest(out, args.command_line, configs, [], args.seed)
+    _write_manifest(out, args, configs, [])
     print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
     return 0
 
@@ -320,7 +316,7 @@ def cmd_synthetic_roc(args) -> int:
     out = _out_dir(args)
     rows = [[_g(p.fraction), _g(p.tpr), _g(p.fpr)] for p in sweep.points]
     _write_csv(out / "roc.csv", ["f", "tpr", "fpr"], rows)
-    _write_manifest(out, args.command_line, config, [], args.seed)
+    _write_manifest(out, args, config, [])
     print(f"auc {_g(sweep.auc)}")
     return 0
 
@@ -333,22 +329,16 @@ def cmd_pairwise(args) -> int:
         raise InvalidConfig(f"no object JSON files found in {obj_dir}")
     objects = [load_structured_object(p) for p in files]
     ids = [p.stem for p in files]
-    d0 = objects[0].d
-    for obj, pid in zip(objects, ids):
-        if obj.d != d0:
-            raise DimensionMismatch(
-                f"object {pid!r} has {obj.d} features, expected {d0}"
-            )
     config = _config_from_args(args)
     D, records = pairwise_distance_matrix(objects, config, workers=args.workers)
     out = _out_dir(args)
     _write_matrix(out / "distances.csv", ids, D)
-    names = objects[0].feature_names or [f"f{r}" for r in range(d0)]
+    names = objects[0].feature_names or [f"f{r}" for r in range(objects[0].d)]
     wrows = [
         [ids[rec.i], ids[rec.j]] + [_g(w) for w in rec.result.weights.w] for rec in records
     ]
     _write_csv(out / "pair_weights.csv", ["id_a", "id_b"] + list(names), wrows)
-    _write_manifest(out, args.command_line, config, [str(p) for p in files], args.seed)
+    _write_manifest(out, args, config, [str(p) for p in files])
     print(f"wrote {len(ids)}x{len(ids)} distance matrix to {out / 'distances.csv'}")
     return 0
 
@@ -374,13 +364,7 @@ def cmd_redistrict_compare(args) -> int:
     _write_csv(
         out / "weight_heatmap.csv", ["district_pair"] + list(graph.feature_names), rows
     )
-    _write_manifest(
-        out,
-        args.command_line,
-        config,
-        [args.nodes, args.edges, args.plan_p, args.plan_q],
-        args.seed,
-    )
+    _write_manifest(out, args, config, [args.nodes, args.edges, args.plan_p, args.plan_q])
     print(f"total_distance {_g(comparison.total_distance)}")
     return 0
 
@@ -402,9 +386,7 @@ def _plan_matrix(args):
     D[i, j] = D[j, i] = [c.total_distance for c in comparisons]
     out = _out_dir(args)
     _write_matrix(out / "plan_distances.csv", [p.plan_id for p in plans], D)
-    _write_manifest(
-        out, args.command_line, config, [args.nodes, args.edges, *args.plans], args.seed
-    )
+    _write_manifest(out, args, config, [args.nodes, args.edges, *args.plans])
     return out, D
 
 
@@ -451,6 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=3)
         p.add_argument("--delta", type=float, default=2.0)
         p.add_argument("--radius", type=float, default=0.3)
+        p.add_argument("--seed", type=int, default=0)
 
     p_rec = syn_sub.add_parser("recover", help="one recovery run")
     _add_spec_flags(p_rec)

@@ -14,7 +14,7 @@ Those solves and the pairs of ``pairwise_distance_matrix`` run in
 process and N - 1 helper processes, no more than the usable CPUs, take
 task indices from one shared counter, and the results come back in task
 order, so pool and serial runs give identical bits and raise the same
-first failure.
+first failure, in its own error class.
 
 Nothing here loads scipy.  Hop counts, components and the sampler's node
 order come from one breadth-first search (``_bfs``) and equal what
@@ -47,6 +47,7 @@ from .core import (
     SuppressionWeights,
     _check_finite,
     _integer,
+    validate_pair,
 )
 from .suppression import solve_fsfgw
 
@@ -57,7 +58,6 @@ __all__ = [
     "DisconnectedDistrict",
     "DistrictCountMismatch",
     "PrecinctUniverseMismatch",
-    "PairwiseSolveError",
     "InvalidObjectFile",
     "SyntheticSpec",
     "generate_synthetic_pair",
@@ -109,10 +109,6 @@ class DistrictCountMismatch(FsfgwError):
 
 class PrecinctUniverseMismatch(FsfgwError):
     """Two plans do not cover the same precincts."""
-
-
-class PairwiseSolveError(SolverError):
-    """A pairwise solve failed; the message names the pair."""
 
 
 class InvalidObjectFile(FsfgwError):
@@ -393,7 +389,7 @@ def _helper(task, args, counter, conn) -> None:
 
 
 def _check_workers(workers: int) -> None:
-    # Called before any input is read or built, not only in _ordered_map.
+    # Called by _ordered_map's callers before any input is read or built.
     if _integer(workers, "workers", InvalidConfig) < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
 
@@ -413,7 +409,6 @@ def _ordered_map(task, args: list[tuple], workers: int) -> list:
     naming the exit codes.  Helpers are terminated on any other exception.
     """
 
-    _check_workers(workers)
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     if min(workers, len(args)) > cpus:
@@ -479,7 +474,7 @@ def _solve_pair(i, j, x, y, config):
     try:
         result = solve_fsfgw(x, y, config)
     except FsfgwError as exc:
-        raise PairwiseSolveError(f"pair ({i}, {j}) failed: {exc}") from exc
+        raise type(exc)(f"pair ({i}, {j}) failed: {exc}") from exc
     return PairRecord(i, j, result)
 
 
@@ -491,10 +486,16 @@ def pairwise_distance_matrix(
     """Symmetric matrix of solve objectives over all unordered pairs, with
     one record per pair (i < j, row-major).  The pairs run through
     ``_ordered_map`` with ``workers``, so a pool run is bit-identical to a
-    serial run."""
+    serial run.  Feature counts are checked before the first pair; an
+    error keeps its class and names the object or pair."""
 
     _check_workers(workers)
     N = len(objects)
+    for k in range(1, N):
+        try:
+            validate_pair(objects[0], objects[k])
+        except FsfgwError as exc:
+            raise type(exc)(f"object {k}: {exc}") from exc
     tasks = [(i, j, objects[i], objects[j], config) for i in range(N) for j in range(i + 1, N)]
     records = _ordered_map(_solve_pair, tasks, workers)
     D = np.zeros((N, N))
@@ -664,6 +665,8 @@ def district_object(graph: PrecinctGraph, indices: Sequence[int]) -> StructuredO
     members = sorted(_integer(i, "precinct index", ShapeMismatch) for i in indices)
     if not members:
         raise EmptySet("a district must contain at least one precinct")
+    if members[0] < 0 or members[-1] >= graph.P:
+        raise ShapeMismatch(f"precinct indices must lie in 0..{graph.P - 1}")
     inside = set(members)
     induced = [(i, j) for i in members for j in graph.neighbours[i] if j > i and j in inside]
     C = geodesic_structure(induced, members)

@@ -198,12 +198,22 @@ class TestSolveValidationErrors:
         assert not (tmp_path / "o" / "result.json").exists()
 
     def test_negative_seed(self, tmp_path, capsys):
-        x, y = self.write_pair(tmp_path)
-        code = main(["solve", str(x), str(y), "--mode", "lasso", "--lambda", "0.1",
-                     "--seed", "-1", "--out", str(tmp_path / "o")])
+        code = main(["synthetic", "recover", "--seed", "-1", "--out", str(tmp_path / "o")])
         doc = self.assert_error_json(capsys, code, 2)
         assert doc["error"] == "InvalidConfig"
         assert "seed" in doc["message"]
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "x.json", "y.json"], ["pairwise", "objects"],
+        ["redistrict", "compare", "n.csv", "e.csv", "p.csv", "q.csv"],
+        ["redistrict", "matrix", "n.csv", "e.csv", "p.csv"],
+        ["redistrict", "cluster", "n.csv", "e.csv", "p.csv"],
+    ], ids=lambda command: "-".join(command[:2]))
+    def test_seed_is_a_usage_error_outside_synthetic(self, tmp_path, capsys, command):
+        # The seed only draws restart plans, and the CLI runs no restarts.
+        assert main([*command, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         x, _ = self.write_pair(tmp_path)
@@ -256,7 +266,7 @@ class TestSolveValidationErrors:
 def test_each_exported_error_has_its_exit_code(tmp_path, capsys, monkeypatch):
     # Exit 3 is a SolverError: a solver that could not finish on valid input.
     solver = {"SolverError", "Infeasible", "NumericalFailure", "InstanceTooLarge",
-              "DisconnectedAfterRetries", "PairwiseSolveError"}
+              "DisconnectedAfterRetries"}
     exported = {name for name in fsfgw.__all__ if isinstance(getattr(fsfgw, name), type)
                 and issubclass(getattr(fsfgw, name), fsfgw.FsfgwError)}
     assert solver < exported and "InvalidBasis" in exported
@@ -268,6 +278,28 @@ def test_each_exported_error_has_its_exit_code(tmp_path, capsys, monkeypatch):
         code = main(["solve", "x.json", "y.json", "--out", str(tmp_path / "o")])
         doc = json.loads(capsys.readouterr().err)
         assert (doc["error"], code) == (name, 3 if name in solver else 2)
+
+
+@pytest.mark.parametrize("command", ["solve", "pairwise", "redistrict cluster"])
+def test_non_partitioning_groups_exit_2_from_every_command(tmp_path, capsys, command):
+    # Groups [0] and [1] leave feature 2 out of the three or four features.
+    groups = tmp_path / "groups.json"
+    groups.write_text("[[0], [1]]")
+    rng = np.random.default_rng(11)
+    objects = tmp_path / "objects"
+    objects.mkdir()
+    for name in ("x", "y"):
+        write_object(objects / f"{name}.json", rng, 4, 3)
+    inputs = {
+        "solve": [str(objects / "x.json"), str(objects / "y.json")],
+        "pairwise": [str(objects)],
+        "redistrict cluster": [str(p) for p in oracles.write_planted_plan_csvs(tmp_path)],
+    }[command]
+    code = main([*command.split(), *inputs, "--mode", "group_simplex",
+                 "--groups", str(groups), "--out", str(tmp_path / "o")])
+    doc = json.loads(capsys.readouterr().err)
+    assert (code, doc["error"]) == (2, "InvalidPartition")
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_quickstart_lines_parse():
@@ -366,7 +398,9 @@ class TestSyntheticCommands:
              "--out", str(tmp_path / "o")]
         )
         assert code == 2
-        capsys.readouterr()
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "InvalidConfig" and "'bogus'" in doc["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_roc(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -504,7 +538,9 @@ class TestPairwiseCommand:
         code = main(["pairwise", str(obj_dir), "--out", str(tmp_path / "o")])
         assert code == 2
         doc = json.loads(capsys.readouterr().err.strip())
-        assert doc["error"] == "DimensionMismatch"
+        assert (doc["error"], doc["message"]) == (
+            "DimensionMismatch", "object 1: feature counts differ: 3 vs 2"
+        )
 
 
 def write_two_precinct_map(

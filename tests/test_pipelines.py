@@ -16,6 +16,7 @@ import pytest
 import fsfgw.pipelines as pipelines
 import oracles
 from fsfgw.core import (
+    DimensionMismatch,
     FsFgwConfig,
     InvalidConfig,
     ShapeMismatch,
@@ -24,6 +25,7 @@ from fsfgw.core import (
     feature_scores,
 )
 from fsfgw.fgw import FgwProblem, solve_fgw
+from fsfgw.transport import NumericalFailure
 from fsfgw.pipelines import (
     DisconnectedAfterRetries,
     DisconnectedDistrict,
@@ -32,7 +34,6 @@ from fsfgw.pipelines import (
     InvalidMatrix,
     InvalidObjectFile,
     Merge,
-    PairwiseSolveError,
     PrecinctGraph,
     PrecinctUniverseMismatch,
     RedistrictingPlan,
@@ -388,12 +389,26 @@ class TestPairwiseDistanceMatrix:
         with pytest.raises(InvalidConfig, match="workers: expected an integer"):
             pairwise_distance_matrix([pytest.fail] * 3, QUICK, workers)
 
-    def test_failures_name_the_pair(self):
+    def test_failures_name_the_pair(self, monkeypatch):
         rng = np.random.default_rng(8)
-        objs = [make_object(rng, 4, 3), make_object(rng, 4, 2)]
-        with pytest.raises(PairwiseSolveError) as err:
+        objs = [make_object(rng, 4, 3) for _ in range(3)]
+        solve = pipelines.solve_fsfgw
+
+        def fail_on_the_last_two(x, y, config):
+            if (x, y) == (objs[1], objs[2]):
+                raise NumericalFailure("planted")
+            return solve(x, y, config)
+
+        monkeypatch.setattr(pipelines, "solve_fsfgw", fail_on_the_last_two)
+        with pytest.raises(NumericalFailure, match=r"^pair \(1, 2\) failed: planted$"):
             pairwise_distance_matrix(objs, QUICK)
-        assert "pair (0, 1)" in str(err.value)
+
+    def test_feature_counts_are_checked_before_any_pair(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        objs = [make_object(rng, 4, 3) for _ in range(3)] + [make_object(rng, 4, 2)]
+        monkeypatch.setattr(pipelines, "solve_fsfgw", pytest.fail)
+        with pytest.raises(DimensionMismatch, match=r"^object 3: feature counts differ: 3 vs 2$"):
+            pairwise_distance_matrix(objs, QUICK)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_raises_the_serial_failure(self, usable_cpus, workers):
@@ -403,9 +418,9 @@ class TestPairwiseDistanceMatrix:
         objs = [make_object(rng, 4, 3) for _ in range(6)]
         tasks = [(k, k + 1, objs[k], objs[k + 1], QUICK) for k in range(5)]
         tasks.insert(3, (7, 8, objs[0], make_object(rng, 4, 2), QUICK))
-        with pytest.raises(PairwiseSolveError) as serial:
+        with pytest.raises(DimensionMismatch) as serial:
             pipelines._ordered_map(pipelines._solve_pair, tasks, 1)
-        with pytest.raises(PairwiseSolveError) as pooled:
+        with pytest.raises(DimensionMismatch) as pooled:
             pipelines._ordered_map(pipelines._solve_pair, tasks, workers)
         assert type(pooled.value) is type(serial.value)
         assert str(pooled.value) == str(serial.value)
@@ -534,6 +549,13 @@ class TestDistrictsAndMatching:
     def test_non_integer_precinct_indices_rejected(self, indices):
         graph, _, _, _ = band_fixture()
         with pytest.raises(ShapeMismatch, match="expected an integer"):
+            district_object(graph, indices)
+
+    @pytest.mark.parametrize("indices", [[-1], [0, 30]])
+    def test_out_of_range_precinct_indices_rejected(self, indices):
+        graph, _, _, _ = band_fixture()
+        assert graph.P == 30
+        with pytest.raises(ShapeMismatch, match=r"must lie in 0\.\.29"):
             district_object(graph, indices)
 
     def test_disconnected_district_rejected(self):
