@@ -245,12 +245,10 @@ def cmd_synthetic_recover(args) -> int:
     result = solve_fsfgw(x, y, config)
     sep = separation_metric(result.weights, diff)
     out = _out_dir(args)
-    rows = []
-    for r in range(spec.d):
-        rows.append(
-            [str(r), f"f{r}", _g(result.weights.w[r]), _g(result.scores[r]),
-             str(int(r in diff))]
-        )
+    rows = [
+        row + [str(int(r in diff))]
+        for r, row in enumerate(_weights_csv_rows(result, x.feature_names))
+    ]
     _write_csv(
         out / "weights.csv", ["feature", "name", "weight", "score", "differentiating"], rows
     )
@@ -268,11 +266,16 @@ def _parse_deltas(text: str) -> list[float]:
         if count < 1:
             raise InvalidConfig("delta count must be >= 1")
         return [float(v) for v in np.linspace(start, stop, count)]
-    return [float(v) for v in text.split(",") if v.strip()]
+    deltas = [float(v) for v in text.split(",") if v.strip()]
+    if not deltas:
+        raise InvalidConfig(f"--deltas names no delta: {text!r}")
+    return deltas
 
 
 def cmd_synthetic_delta_sweep(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise InvalidConfig(f"--modes names no mode: {args.modes!r}")
     deltas = _parse_deltas(args.deltas)
     spec = _synthetic_spec(args)
     groups = _load_groups(args.groups)
@@ -476,21 +479,18 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_redistrict_compare)
 
-    p_mat = red_sub.add_parser("matrix", help="plan-vs-plan distance matrix")
-    p_mat.add_argument("nodes")
-    p_mat.add_argument("edges")
-    p_mat.add_argument("plans", nargs="+", help="plan CSV files")
-    p_mat.add_argument("--workers", type=int, default=1)
-    _add_config_flags(p_mat)
-    p_mat.set_defaults(func=cmd_redistrict_matrix)
-
-    p_clu = red_sub.add_parser("cluster", help="complete-linkage clustering of plans")
-    p_clu.add_argument("nodes")
-    p_clu.add_argument("edges")
-    p_clu.add_argument("plans", nargs="+", help="plan CSV files")
-    p_clu.add_argument("--workers", type=int, default=1)
-    _add_config_flags(p_clu)
-    p_clu.set_defaults(func=cmd_redistrict_cluster)
+    # The plan-matrix commands share their arguments; only the output differs.
+    for name, help_text, func in (
+        ("matrix", "plan-vs-plan distance matrix", cmd_redistrict_matrix),
+        ("cluster", "complete-linkage clustering of plans", cmd_redistrict_cluster),
+    ):
+        p_plans = red_sub.add_parser(name, help=help_text)
+        p_plans.add_argument("nodes")
+        p_plans.add_argument("edges")
+        p_plans.add_argument("plans", nargs="+", help="plan CSV files")
+        p_plans.add_argument("--workers", type=int, default=1)
+        _add_config_flags(p_plans)
+        p_plans.set_defaults(func=func)
 
     return parser
 
@@ -514,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     except _SOLVER_ERRORS as exc:
         _report_error(exc)
         return 3
-    except (FsfgwError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (FsfgwError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         _report_error(exc)
         return 2
 

@@ -280,6 +280,37 @@ def test_each_exported_error_has_its_exit_code(tmp_path, capsys, monkeypatch):
         assert (doc["error"], code) == (name, 3 if name in solver else 2)
 
 
+def test_package_exports_each_submodules_all():
+    submodules = ("core", "fgw", "pipelines", "suppression", "transport")
+    declared = {name for m in submodules for name in getattr(fsfgw, m).__all__}
+    assert set(fsfgw.__all__) == declared | set(submodules)
+    assert fsfgw.check_partition is fsfgw.core.check_partition
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--alpha", "0.3", "--q", "1", "--mode", "group_simplex", "--lambda", "0.2",
+         "--f", "0.4", "--groups", "g.json", "--norm", "none", "--max-outer-iter", "7",
+         "--workers", "2", "--out", "o"],
+    ],
+    ids=["defaults", "every-flag"],
+)
+def test_plan_matrix_commands_parse_the_same_flags(flags):
+    parsed = []
+    for command in ("matrix", "cluster"):
+        argv = ["redistrict", command, "n.csv", "e.csv", "p.csv", "q.csv", *flags]
+        doc = vars(_build_parser().parse_args(argv))
+        assert doc.pop("redistrict_command") == command
+        assert doc.pop("func") is getattr(fsfgw.cli, f"cmd_redistrict_{command}")
+        parsed.append(doc)
+    assert parsed[0] == parsed[1]
+    assert parsed[0]["plans"] == ["p.csv", "q.csv"]
+    assert {"alpha", "q", "mode", "lam", "fraction", "groups", "norm", "max_outer_iter",
+            "seed", "workers", "out"} < set(parsed[0])
+
+
 @pytest.mark.parametrize("command", ["solve", "pairwise", "redistrict cluster"])
 def test_non_partitioning_groups_exit_2_from_every_command(tmp_path, capsys, command):
     # Groups [0] and [1] leave feature 2 out of the three or four features.
@@ -392,14 +423,20 @@ class TestSyntheticCommands:
             "EmptySet", f"--k must lie strictly between 0 and --d = 6, got {k}"
         )
 
-    def test_bad_mode_list(self, tmp_path, capsys):
-        code = main(
-            ["synthetic", "delta-sweep", "--modes", "lasso,bogus",
-             "--out", str(tmp_path / "o")]
-        )
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--modes", "lasso,bogus"], "'bogus'"),
+            (["--modes", ","], "--modes"),
+            (["--modes", "lasso", "--deltas", ","], "--deltas"),
+        ],
+        ids=["bogus", "no-mode", "no-delta"],
+    )
+    def test_bad_mode_list(self, tmp_path, capsys, flags, named):
+        code = main(["synthetic", "delta-sweep", *flags, "--out", str(tmp_path / "o")])
         assert code == 2
         doc = json.loads(capsys.readouterr().err)
-        assert doc["error"] == "InvalidConfig" and "'bogus'" in doc["message"]
+        assert doc["error"] == "InvalidConfig" and named in doc["message"]
         assert not (tmp_path / "o").exists()
 
     def test_roc(self, tmp_path, capsys):
