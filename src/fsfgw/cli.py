@@ -257,16 +257,30 @@ def cmd_synthetic_recover(args) -> int:
     return 0
 
 
+def _item(flag: str, text: str, kind=float):
+    """One item of a list flag as ``kind``, or an InvalidConfig naming both."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InvalidConfig(f"{flag} item {text.strip()!r} is not {what}") from None
+
+
+def _numbers(flag: str, text: str) -> list[float]:
+    return [_item(flag, v) for v in text.split(",") if v.strip()]
+
+
 def _parse_deltas(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidConfig(f"delta range must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _item("--deltas", parts[0]), _item("--deltas", parts[1])
+        count = _item("--deltas", parts[2], int)
         if count < 1:
             raise InvalidConfig("delta count must be >= 1")
         return [float(v) for v in np.linspace(start, stop, count)]
-    deltas = [float(v) for v in text.split(",") if v.strip()]
+    deltas = _numbers("--deltas", text)
     if not deltas:
         raise InvalidConfig(f"--deltas names no delta: {text!r}")
     return deltas
@@ -313,7 +327,7 @@ def cmd_synthetic_roc(args) -> int:
         raise InvalidConfig("synthetic roc sweeps the suppression fraction over --fracs; "
                             "--f is not accepted")
     spec = _synthetic_spec(args)
-    fractions = [float(v) for v in args.fracs.split(",") if v.strip()]
+    fractions = _numbers("--fracs", args.fracs)
     config = _config_from_args(args)
     sweep = roc_sweep(spec, config, fractions)
     out = _out_dir(args)

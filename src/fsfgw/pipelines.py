@@ -16,10 +16,11 @@ task indices from one shared counter, and the results come back in task
 order, so pool and serial runs give identical bits and raise the same
 first failure, in its own error class.
 
-Nothing here loads scipy.  Hop counts, components and the sampler's node
-order come from one breadth-first search (``_bfs``) and equal what
-``scipy.sparse.csgraph`` gives; district matching is ``_assignment``, a
-port of ``scipy.optimize.linear_sum_assignment`` that keeps its tie choice.
+Nothing here imports a scipy module.  Hop counts, components and the
+sampler's node order come from one breadth-first search (``_bfs``) and
+equal what ``scipy.sparse.csgraph`` gives; district matching calls scipy's
+compiled ``linear_sum_assignment`` kernel, which ``transport._lsap`` loads
+from its file.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     validate_pair,
 )
 from .suppression import solve_fsfgw
+from .transport import _lsap
 
 __all__ = [
     "DisconnectedAfterRetries",
@@ -678,53 +680,6 @@ def district_object(graph: PrecinctGraph, indices: Sequence[int]) -> StructuredO
     )
 
 
-def _assignment(cost: np.ndarray) -> list[int]:
-    """The column matched to each row of a square cost matrix at minimum
-    total cost: Crouse's shortest augmenting path ("On implementing 2D
-    rectangular assignment algorithms", IEEE TAES 2016) in the arithmetic
-    and tie order of scipy's ``linear_sum_assignment``.  Rows are added in
-    order; a search scans the free columns from the highest down and takes
-    the first lowest reduced cost, preferring on a tie a column no row holds.
-    """
-
-    cost = np.asarray(cost, dtype=float).tolist()
-    k = len(cost)
-    u, v = [0.0] * k, [0.0] * k
-    path, col4row, row4col = [-1] * k, [-1] * k, [-1] * k
-    for cur in range(k):
-        shortest = [np.inf] * k
-        remaining = list(range(k - 1, -1, -1))
-        seen_rows, seen_cols = [], []
-        min_val, i, sink = 0.0, cur, -1
-        while sink < 0:
-            seen_rows.append(i)
-            index, lowest, row, ui = -1, np.inf, cost[i], u[i]
-            for it, j in enumerate(remaining):
-                r = min_val + row[j] - ui - v[j]
-                if r < shortest[j]:
-                    path[j] = i
-                    shortest[j] = r
-                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
-                    lowest, index = shortest[j], it
-            min_val = lowest
-            j = remaining[index]
-            sink, i = (j, i) if row4col[j] == -1 else (-1, row4col[j])
-            seen_cols.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += min_val
-        for i in seen_rows[1:]:
-            u[i] += min_val - shortest[col4row[i]]
-        for j in seen_cols:
-            v[j] -= min_val - shortest[j]
-        j, i = sink, -1
-        while i != cur:  # augment along the path back to row cur
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-    return col4row
-
-
 def match_districts(
     plan_p: RedistrictingPlan, plan_q: RedistrictingPlan
 ) -> list[tuple[int, int]]:
@@ -735,11 +690,10 @@ def match_districts(
     indicator vectors, solved exactly as a linear assignment.  Returns
     (label_p, label_q) pairs ordered by label_p (labels are 1-based).
 
-    Ties are a contract: among several optimal matchings this returns the
-    one that ``_assignment`` reaches, which is the one scipy's
-    ``linear_sum_assignment`` (Crouse's shortest augmenting path) picks
-    for the same Hamming matrix.  It is a function of the two assignment
-    vectors alone.
+    Ties follow the installed scipy: among several optimal matchings this
+    returns the one its ``linear_sum_assignment`` kernel (Crouse's
+    shortest augmenting path) picks for the same Hamming matrix.  With a
+    given scipy it is a function of the two assignment vectors alone.
     """
 
     if plan_p.P != plan_q.P:
@@ -757,7 +711,8 @@ def match_districts(
     counts_q = mem_q.sum(axis=0)
     overlap = mem_p.T.astype(np.int64) @ mem_q.astype(np.int64)
     H = counts_p[:, None] + counts_q[None, :] - 2 * overlap
-    return [(r + 1, c + 1) for r, c in enumerate(_assignment(H))]
+    rows, cols = _lsap().linear_sum_assignment(H)
+    return [(r + 1, c + 1) for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 @dataclass(frozen=True, eq=False)

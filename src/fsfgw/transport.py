@@ -7,7 +7,7 @@ input:
 * Uniform square measures (n = m, all entries of ``a`` equal, all entries
   of ``b`` equal): the vertices of U(1/n, 1/n) are permutation matrices
   divided by n (Birkhoff-von Neumann), so the LP is an assignment problem
-  and ``scipy.optimize.linear_sum_assignment`` solves it exactly.
+  and scipy's compiled ``linear_sum_assignment`` kernel solves it exactly.
 * Everything else: a primal network simplex specialized to the bipartite
   transportation problem.  The basis is a spanning tree of the n + m node
   graph, entering arcs are picked by most negative reduced cost with
@@ -31,7 +31,7 @@ but every one has the same value.  The simplex breaks ties on the lowest
 flat cell index, so a warm start may stop at a different optimal vertex
 than a cold start; the assignment route returns the permutation that
 ``linear_sum_assignment`` picks by Crouse's shortest augmenting path (the
-tie rule that ``pipelines.match_districts`` ports), not the lowest index.
+kernel that ``pipelines.match_districts`` calls too), not the lowest index.
 
 ``solve_emd`` checks a finite cost on every call.  A cold call checks
 its marginals: nonnegative, of equal mass.  A warm call accepts only a
@@ -43,12 +43,17 @@ array, on the marginals by construction, and is not checked again.
 ``line_search_quadratic`` is the exact minimizer of a 1-D quadratic on
 [0, 1], used by the conditional-gradient solver.
 
-Only the assignment route loads scipy, on its first call, and it is the
-only code in the package that does; every other solve needs numpy alone.
+No code in the package imports a scipy module: the assignment route and
+district matching call the kernel that ``_lsap`` loads from its file, and
+every other solve needs numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +79,26 @@ _REDUCED_COST_TOL = 1e-11
 _PIVOTS_PER_NODE = 200
 _SCALING_MAX_ITERS = 10_000
 _SCALING_TOL = 1e-12
+
+
+@functools.cache
+def _lsap():
+    """scipy's compiled extension ``optimize/_lsap``, loaded once from its
+    file without importing ``scipy.optimize`` or entering ``sys.modules``:
+    its ``linear_sum_assignment`` is the C function that scipy.optimize
+    exports.  Without that file or function, ``scipy.optimize`` itself."""
+
+    scipy_spec = importlib.util.find_spec("scipy")
+    found = scipy_spec.submodule_search_locations if scipy_spec else None
+    dirs = [os.path.join(d, "optimize") for d in found or ()]
+    spec = importlib.machinery.PathFinder.find_spec("_lsap", dirs)
+    module = None
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    if not hasattr(module, "linear_sum_assignment"):
+        import scipy.optimize as module
+    return module
 
 
 class Infeasible(SolverError):
@@ -238,9 +263,7 @@ def solve_emd(
         # Tested before b is rescaled, since absorbing the residue can make one
         # entry of a uniform b differ in the last bit.  The route needs no b.
         if n == m and bool(np.all(a == a[0]) and np.all(b == b[0])):
-            from scipy.optimize import linear_sum_assignment
-
-            rows, perm = linear_sum_assignment(cost)
+            rows, perm = _lsap().linear_sum_assignment(cost)
             T = np.zeros((n, m))
             T[rows, perm] = a
             T.setflags(write=False)

@@ -426,17 +426,25 @@ class TestSyntheticCommands:
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--modes", "lasso,bogus"], "'bogus'"),
-            (["--modes", ","], "--modes"),
-            (["--modes", "lasso", "--deltas", ","], "--deltas"),
+            (["delta-sweep", "--modes", "lasso,bogus"], ["'bogus'"]),
+            (["delta-sweep", "--modes", ","], ["--modes"]),
+            (["delta-sweep", "--modes", "lasso", "--deltas", ","], ["--deltas"]),
+            (["delta-sweep", "--deltas", "1,a"], ["--deltas", "'a'"]),
+            (["delta-sweep", "--deltas", "0:1:2.5"], ["--deltas", "'2.5'", "integer"]),
+            (["delta-sweep", "--deltas", "0:b:3"], ["--deltas", "'b'"]),
+            (["roc", "--fracs", "0.2,a"], ["--fracs", "'a'"]),
         ],
-        ids=["bogus", "no-mode", "no-delta"],
+        ids=["bogus", "no-mode", "no-delta", "bad-delta", "bad-delta-count",
+             "bad-delta-stop", "bad-fraction"],
     )
-    def test_bad_mode_list(self, tmp_path, capsys, flags, named):
-        code = main(["synthetic", "delta-sweep", *flags, "--out", str(tmp_path / "o")])
+    def test_bad_mode_list(self, tmp_path, capsys, monkeypatch, flags, named):
+        monkeypatch.setattr(fsfgw.cli, "solve_fsfgw", pytest.fail)
+        monkeypatch.setattr(fsfgw.cli, "roc_sweep", pytest.fail)
+        code = main(["synthetic", *flags, "--out", str(tmp_path / "o")])
         assert code == 2
         doc = json.loads(capsys.readouterr().err)
-        assert doc["error"] == "InvalidConfig" and named in doc["message"]
+        assert doc["error"] == "InvalidConfig"
+        assert all(part in doc["message"] for part in named), doc["message"]
         assert not (tmp_path / "o").exists()
 
     def test_roc(self, tmp_path, capsys):
@@ -924,19 +932,27 @@ class TestScipyLoadsOnFirstUse:
         argv += ["--lambda", "0.2", "--out", str(tmp_path / "o")]
         assert fresh_python(FRESH_MAIN, json.dumps(argv)) == [0, []]
 
-    def test_uniform_square_lp_loads_scipy_and_keeps_its_bits(self):
+    def test_uniform_square_lp_loads_no_scipy_module_and_keeps_its_bits(self):
+        # The assignment route loads scipy's compiled kernel from its file:
+        # no scipy module is imported, and the peak resident set grows by
+        # well under the ~45 MB that importing scipy.optimize costs.
         code = textwrap.dedent("""
-            import json, sys
+            import json, resource, sys
             import numpy as np
             from fsfgw import solve_emd
             cost = np.random.default_rng(5).uniform(size=(9, 9))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             lp = solve_emd(cost, np.full(9, 1 / 9), np.full(9, 1 / 9))
+            grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
             print(json.dumps([lp.T.tobytes().hex(), lp.value.hex(),
-                              "scipy.optimize" in sys.modules]))
+                              [m for m in sys.modules if m.split(".")[0] == "scipy"],
+                              grown_kb]))
         """)
         cost = np.random.default_rng(5).uniform(size=(9, 9))
         lp = fsfgw.solve_emd(cost, np.full(9, 1 / 9), np.full(9, 1 / 9))
-        assert fresh_python(code) == [lp.T.tobytes().hex(), lp.value.hex(), True]
+        T_hex, value_hex, scipy_modules, grown_kb = fresh_python(code)
+        assert [T_hex, value_hex, scipy_modules] == [lp.T.tobytes().hex(), lp.value.hex(), []]
+        assert grown_kb < 10 * 1024
 
     @staticmethod
     def assert_fresh_run_loads_no_scipy(tmp_path, capsys, argv, outputs):
@@ -948,6 +964,12 @@ class TestScipyLoadsOnFirstUse:
         capsys.readouterr()
         for name in outputs:
             assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+    def test_synthetic_recover_gives_the_in_process_bits(self, tmp_path, capsys):
+        # Uniform measures with n = m: every LP takes the assignment route.
+        argv = ["synthetic", "recover", "--n", "16", "--d", "6", "--k", "2",
+                "--radius", "0.45", "--f", "0.3"]
+        self.assert_fresh_run_loads_no_scipy(tmp_path, capsys, argv, ("weights.csv",))
 
     def test_redistrict_compare_gives_the_in_process_bits(self, tmp_path, capsys):
         nodes, edges, plan_p, plan_q = oracles.write_planted_plan_csvs(tmp_path)

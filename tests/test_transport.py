@@ -1,9 +1,11 @@
 """Exact transportation LP, quadratic line search, and coupling sampler."""
 
 import hashlib
+import importlib.machinery
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,6 +166,27 @@ class TestAssignmentRoute:
         assert sol.value == pytest.approx(ref_value, abs=1e-12)
         assert np.count_nonzero(sol.T) <= 2 * n - 1
         oracles.assert_coupling(sol.T, a, b)
+
+
+    def test_without_the_kernel_file_scipy_optimize_gives_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        cost = rng.integers(0, 4, (12, 12)).astype(float)
+        a = np.full(12, 1.0 / 12)
+        kernel = solve_emd(cost, a, a)
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_kernel(name, path=None, target=None):
+            return None if name == "_lsap" else find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_kernel)
+        fsfgw.transport._lsap.cache_clear()
+        try:
+            fallback = solve_emd(cost, a, a)
+            assert fsfgw.transport._lsap() is scipy.optimize
+        finally:
+            fsfgw.transport._lsap.cache_clear()
+        assert fallback.T.tobytes() == kernel.T.tobytes()
+        assert fallback.value.hex() == kernel.value.hex()
 
 
 def masses_with_zeros(rng, k):
