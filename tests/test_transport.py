@@ -167,7 +167,6 @@ class TestAssignmentRoute:
         assert np.count_nonzero(sol.T) <= 2 * n - 1
         oracles.assert_coupling(sol.T, a, b)
 
-
     def test_without_the_kernel_file_scipy_optimize_gives_the_same_bits(self, monkeypatch):
         rng = np.random.default_rng(11)
         cost = rng.integers(0, 4, (12, 12)).astype(float)
