@@ -290,8 +290,8 @@ def cmd_synthetic_delta_sweep(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes:
         raise InvalidConfig(f"--modes names no mode: {args.modes!r}")
-    deltas = _parse_deltas(args.deltas)
     spec = _synthetic_spec(args)
+    specs = [dataclasses.replace(spec, delta=delta) for delta in _parse_deltas(args.deltas)]
     groups = _load_groups(args.groups)
     if groups is None:
         groups = _default_groups(spec.d, spec.k)
@@ -309,13 +309,13 @@ def cmd_synthetic_delta_sweep(args) -> int:
     ]
     out = _out_dir(args)
     rows = []
-    for delta in deltas:
-        x, y, diff = generate_synthetic_pair(dataclasses.replace(spec, delta=delta))
+    for spec in specs:
+        x, y, diff = generate_synthetic_pair(spec)
         for config in configs:
             result = solve_fsfgw(x, y, config)
             sep = separation_metric(result.weights, diff)
-            rows.append([_g(delta), config.mode, _g(sep)])
-            logger.info("delta %.3g mode %s separation %.4f", delta, config.mode, sep)
+            rows.append([_g(spec.delta), config.mode, _g(sep)])
+            logger.info("delta %.3g mode %s separation %.4f", spec.delta, config.mode, sep)
     _write_csv(out / "sweep.csv", ["delta", "mode", "separation"], rows)
     _write_manifest(out, args, configs, [])
     print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")

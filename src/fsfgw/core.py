@@ -132,6 +132,13 @@ def _check_q(q: float) -> None:
         raise InvalidConfig(f"q must be finite and >= 1, got {q}")
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ``InvalidConfig`` unless ``alpha`` lies in [0, 1] (nan fails)."""
+
+    if not (0.0 <= alpha <= 1.0):
+        raise InvalidConfig(f"alpha must lie in [0, 1], got {alpha}")
+
+
 @dataclass(frozen=True, eq=False)
 class StructuredObject:
     """A structure cost matrix, a node measure, and node features.
@@ -175,7 +182,7 @@ class StructuredObject:
             raise InvalidMeasure("a has negative entries")
         total = a.sum()
         if abs(total - 1.0) > MEASURE_TOL:
-            raise InvalidMeasure(f"a sums to {total!r}, expected 1 within {MEASURE_TOL:g}")
+            raise InvalidMeasure(f"a sums to {float(total)}, expected 1 within {MEASURE_TOL:g}")
         a = a / total
 
         if X.ndim != 2 or X.shape[0] != n:
@@ -351,8 +358,7 @@ class FsFgwConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise InvalidConfig(f"alpha must lie in [0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_q(self.q)
         if self.feature_norm not in FEATURE_NORMS:
             raise InvalidConfig(

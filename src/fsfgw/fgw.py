@@ -5,17 +5,16 @@ The structure term is GW(T) = <K(T), T> with the linear operator
     K(T)[i, j] = sum_{i' j'} |C1[i, i'] - C2[j, j']|^q T[i', j']
 
 defined for any real T, so the gradient of GW is 2 K(T).  ``gw_value``
-and ``gw_gradient`` take (T, C1, C2, q) and apply K through two private
-functions.  ``_k_dense`` applies it to any n x m matrix: for q = 2 K
-factorizes into two marginal-weighted vectors and one bilinear term,
-avoiding the O(n^2 m^2) contraction.  Other exponents use the direct
-contraction, only permitted up to n * m = 10,000; it keeps no difference
-block: each call builds |C1[i, i'] - C2[j, j']|^q in pieces of at most
-2**17 doubles (1 MiB), each filled from two tiles of C1 and C2 of at most
-1 MiB, and applies each with an einsum, which makes no BLAS call.
-``_k_sparse`` applies K to a plan's nnz nonzeros in O(n m nnz), also by
-einsum: O(n m (n + m)) on an LP vertex, whose nnz is at most n + m - 1.
-At q != 2 ``gw_value`` evaluates <K(T), T> that way, on the support of T.
+and ``gw_gradient`` take (T, C1, C2, q) and apply K through one private
+function, ``_k``.  For q = 2 K factorizes into two marginal-weighted
+vectors and one bilinear term, avoiding the O(n^2 m^2) contraction.
+Other exponents apply K to the nnz nonzeros of T in O(n m nnz): O(n^2 m^2)
+on a dense matrix, only permitted up to n * m = 10,000, and O(n m (n + m))
+on an LP vertex, whose nnz is at most n + m - 1.  No call keeps a
+difference block: each builds |C1[i, i'] - C2[j, j']|^q over the support
+of T in pieces of at most 2**17 doubles (1 MiB), each filled from two
+tiles of C1 and C2 of at most 1 MiB, and applies each with an einsum,
+which makes no BLAS call.
 
 ``FgwProblem`` is the fixed half of the problem, (C1, C2, alpha, q, a, b),
 checked once when it is built, size cap included, with read-only copies
@@ -45,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import InvalidConfig, ShapeMismatch, SolverError, _check_finite, _check_q
+from .core import ShapeMismatch, SolverError, _check_alpha, _check_finite, _check_q
 from .transport import Basis, line_search_quadratic, solve_emd
 
 __all__ = [
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 DIRECT_CONTRACTION_CAP = 10_000
-_PIECE_DOUBLES = 2**17  # dense contraction
-_BLOCK_DOUBLES = 2**22  # sparse application
+_PIECE_DOUBLES = 2**17
 
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_MAX_HALVINGS = 30
@@ -96,88 +94,47 @@ def _checked(T, C1, C2, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return T, C1, C2
 
 
-def _distortion(diff: np.ndarray, q: float) -> np.ndarray:
-    """|diff|^q, computed in place so it is the only array of its size."""
-
-    np.abs(diff, out=diff)
-    if q != 1.0:  # x ** 1.0 is x exactly
-        diff **= q
-    return diff
-
-
-def _contraction(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
-    """K(T) by blocked direct contraction.
-
-    Work is blocked over rows of C1, and over columns of C2 when one row
-    of n * m * m doubles is too large, so that a piece of the difference
-    block |C1[i, i'] - C2[j, j']|^q holds at most 2**17 doubles (1 MiB).
-    Each piece is filled, in one reused buffer, from two tiles of at most
-    1 MiB each: the piece's rows of C1 with every entry repeated m times
-    and its columns of C2 tiled n times, so the subtraction runs over rows
-    of n * m contiguous doubles.  Each output cell is the same einsum
-    reduction as over the whole block.
-    """
-
-    n, m = T.shape
-    K = np.empty((n, m))
-    rows = min(n, max(1, _PIECE_DOUBLES // (n * m * m)))
-    cols = m if n * m * m <= _PIECE_DOUBLES else _PIECE_DOUBLES // (n * m)
-    buf = np.empty(rows * cols * n * m)
-    for c0 in range(0, m, cols):
-        c1 = min(m, c0 + cols)
-        right = np.tile(C2[c0:c1], (1, n))  # right[j, k m + l] = C2[c0 + j, l]
-        for r0 in range(0, n, rows):
-            r1 = min(n, r0 + rows)
-            left = np.repeat(C1[r0:r1], m, axis=1)  # left[b, k m + l] = C1[r0 + b, k]
-            piece = buf[: (r1 - r0) * (c1 - c0) * n * m].reshape(r1 - r0, c1 - c0, n * m)
-            np.subtract(left[:, None, :], right[None, :, :], out=piece)
-            diff = _distortion(piece, q).reshape(r1 - r0, c1 - c0, n, m)
-            K[r0:r1, c0:c1] = np.einsum("bjkl,kl->bj", diff, T)
-        del right  # free the tile before the next one is built
-    return K
-
-
-def _k_dense(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
-    """K(T): (C1∘C1) r + (C2∘C2) c - 2 C1 T C2 for q = 2, with r and c
-    the row and column sums of T; the blocked contraction otherwise."""
+def _k(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
+    """K(T) for any real n x m matrix T: factorized at q = 2, with r and c
+    the row and column sums of T; otherwise an einsum over the block
+    |C1[i, rows] - C2[j, cols]|^q of T's nonzeros at (rows, cols), built in
+    pieces of at most 2**17 doubles over output rows, and over output
+    columns when one row is too large, each in one reused buffer filled
+    from two C-contiguous tiles of at most 1 MiB.  Each output cell is the
+    same einsum reduction as over the whole block."""
 
     if q == 2.0:
         r = T.sum(axis=1)
         c = T.sum(axis=0)
         return ((C1 * C1) @ r)[:, None] + ((C2 * C2) @ c)[None, :] - 2.0 * (C1 @ T @ C2)
-    return _contraction(T, C1, C2, q)
-
-
-def _k_sparse(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-              C1: np.ndarray, C2: np.ndarray, q: float) -> np.ndarray:
-    """K of the n x m matrix with ``values`` at (``rows``, ``cols``) and
-    zeros elsewhere, such as an LP vertex: an einsum over |C1[:, rows]
-    - C2[:, cols]|^q in pieces of at most 2**22 doubles, gathers included."""
-
-    n, m = C1.shape[0], C2.shape[0]
-    K = np.zeros((n, m))
-    step = max(1, _BLOCK_DOUBLES // (n * m + n + m))
-    for s0 in range(0, len(values), step):
-        piece = slice(s0, s0 + step)
-        diff = _distortion(C1[:, None, rows[piece]] - C2[None, :, cols[piece]], q)
-        K += np.einsum("ijs,s->ij", diff, values[piece])
-        del diff  # free the piece before the next one is allocated
+    n, m = T.shape
+    rows, cols = np.nonzero(T)
+    values, nnz = T[rows, cols], rows.size
+    K = np.empty((n, m))
+    step_i = min(n, max(1, _PIECE_DOUBLES // (m * max(1, nnz))))
+    step_j = m if m * nnz <= _PIECE_DOUBLES else _PIECE_DOUBLES // nnz
+    buf = np.empty(step_i * step_j * nnz)
+    for j0 in range(0, m, step_j):
+        j1 = min(m, j0 + step_j)
+        right = np.take(C2[j0:j1], cols, axis=1)  # right[j, s] = C2[j0 + j, cols[s]]
+        for i0 in range(0, n, step_i):
+            i1 = min(n, i0 + step_i)
+            left = np.take(C1[i0:i1], rows, axis=1)  # left[i, s] = C1[i0 + i, rows[s]]
+            piece = buf[: (i1 - i0) * (j1 - j0) * nnz].reshape(i1 - i0, j1 - j0, nnz)
+            np.subtract(left[:, None, :], right[None, :, :], out=piece)
+            np.abs(piece, out=piece)
+            if q != 1.0:  # x ** 1.0 is x exactly
+                piece **= q
+            K[i0:i1, j0:j1] = np.einsum("ijs,s->ij", piece, values)
+        del right  # free the tile before the next one is built
     return K
 
 
 def gw_value(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -> float:
-    """Exact value of the structure-distortion quartic form, <K(T), T> (>= 0).
-
-    At q != 2 K(T) is applied to the nonzeros of T only, in O(n m nnz),
-    which an LP vertex keeps at n + m - 1 or fewer."""
+    """Exact value of the structure-distortion quartic form, <K(T), T> (>= 0)."""
 
     T, C1, C2 = _checked(T, C1, C2, q)
-    if q == 2.0:
-        K = _k_dense(T, C1, C2, q)
-    else:
-        rows, cols = np.nonzero(T)
-        K = _k_sparse(rows, cols, T[rows, cols], C1, C2, q)
-    value = float(np.sum(K * T))
+    value = float(np.sum(_k(T, C1, C2, q) * T))
     # The form is a sum of nonnegative terms; cancellation in the
     # factorized path may leave a tiny negative residue.
     if -1e-9 < value < 0.0:
@@ -191,7 +148,7 @@ def gw_gradient(T: np.ndarray, C1: np.ndarray, C2: np.ndarray, q: float = 2.0) -
     Linear in the plan, which may be any real matrix (a CG direction)."""
 
     T, C1, C2 = _checked(T, C1, C2, q)
-    return 2.0 * _k_dense(T, C1, C2, q)
+    return 2.0 * _k(T, C1, C2, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +178,7 @@ class FgwProblem:
                 f"inconsistent problem shapes: C1 {C1.shape}, C2 {C2.shape}, "
                 f"marginals ({n},), ({m},)"
             )
-        if not (0.0 <= self.alpha <= 1.0):
-            raise InvalidConfig(f"alpha must lie in [0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_q(self.q)
         for name, arr in (("C1", C1), ("C2", C2), ("a", a), ("b", b)):
             _check_finite(arr, name)
@@ -338,8 +294,7 @@ def solve_fgw(
         if q == 2.0:
             G_d = gw_gradient(direction, C1, C2, q)
         else:
-            rows, cols = np.nonzero(lp.T)
-            G_d = 2.0 * _k_sparse(rows, cols, lp.T[rows, cols], C1, C2, q) - G
+            G_d = 2.0 * _k(lp.T, C1, C2, q) - G
         quad = 0.5 * alpha * float(np.sum(G_d * direction))
         gamma = line_search_quadratic(quad, slope) if q == 2.0 else _armijo_step(quad, slope)
         if gamma <= 0.0:

@@ -333,16 +333,17 @@ def roc_sweep(
         raise EmptySet("roc_sweep needs a nonempty proper differentiating set")
     if len(fractions) == 0:
         raise InvalidConfig("at least one fraction is required")
+    configs = [replace(config, suppression_fraction=float(f)) for f in fractions]
     x, y, diff = generate_synthetic_pair(spec)
     truth = np.zeros(spec.d, dtype=bool)
     truth[sorted(diff)] = True
     points = []
-    for f in fractions:
-        result = solve_fsfgw(x, y, replace(config, suppression_fraction=float(f)))
-        predicted = result.weights.w > 0.5
+    for fconfig in configs:
+        predicted = solve_fsfgw(x, y, fconfig).weights.w > 0.5
         tp = int(np.sum(predicted & truth))
         fp = int(np.sum(predicted & ~truth))
-        points.append(RocPoint(float(f), tp / spec.k, fp / (spec.d - spec.k)))
+        points.append(RocPoint(fconfig.suppression_fraction, tp / spec.k,
+                               fp / (spec.d - spec.k)))
     auc = _trapezoid_auc([(p.fpr, p.tpr) for p in points])
     return RocSweep(points=tuple(points), auc=auc)
 
@@ -865,6 +866,12 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
     def floats(value):
         return np.asarray(value, dtype=float)
 
+    def build(make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except FsfgwError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+
     n = read("n", lambda v: _integer(v, "n", TypeError))
     if n < 1:
         raise InvalidObjectFile(f"{where}: n must be >= 1, got {n}")
@@ -885,14 +892,14 @@ def load_structured_object(source: dict | str | Path) -> StructuredObject:
             for i, j in e])
         if any(not (0 <= i < n and 0 <= j < n) for i, j in edges):
             raise InvalidObjectFile(f"{where}: edge endpoints out of range for n={n}")
-        C = geodesic_structure(edges, range(n))
+        C = build(geodesic_structure, edges, range(n))
     for key, arr in (("C", C), ("a", a), ("X", X)):
         if arr.shape[:1] != (n,):
             raise InvalidObjectFile(f"{where}: n is {n} but {key!r} has shape {arr.shape}")
     names = doc.get("feature_names")
     if names is not None and not isinstance(names, list):
         raise InvalidObjectFile(f"{where}: 'feature_names' must be a list, got {names!r}")
-    return StructuredObject(C=C, a=a, X=X, feature_names=names)
+    return build(StructuredObject, C=C, a=a, X=X, feature_names=names)
 
 
 def load_precinct_graph(nodes_path: str | Path, edges_path: str | Path) -> PrecinctGraph:

@@ -433,11 +433,14 @@ class TestSyntheticCommands:
             (["delta-sweep", "--deltas", "0:1:2.5"], ["--deltas", "'2.5'", "integer"]),
             (["delta-sweep", "--deltas", "0:b:3"], ["--deltas", "'b'"]),
             (["roc", "--fracs", "0.2,a"], ["--fracs", "'a'"]),
+            (["delta-sweep", "--modes", "lasso", "--deltas", "1,-1"], ["delta", "-1"]),
         ],
         ids=["bogus", "no-mode", "no-delta", "bad-delta", "bad-delta-count",
-             "bad-delta-stop", "bad-fraction"],
+             "bad-delta-stop", "bad-fraction", "negative-delta"],
     )
     def test_bad_mode_list(self, tmp_path, capsys, monkeypatch, flags, named):
+        # Every listed value is checked before a pair is drawn or --out made.
+        monkeypatch.setattr(fsfgw.cli, "generate_synthetic_pair", pytest.fail)
         monkeypatch.setattr(fsfgw.cli, "solve_fsfgw", pytest.fail)
         monkeypatch.setattr(fsfgw.cli, "roc_sweep", pytest.fail)
         code = main(["synthetic", *flags, "--out", str(tmp_path / "o")])
@@ -500,6 +503,18 @@ class TestPairwiseCommand:
         wlines = read_csv_lines(out / "pair_weights.csv")
         assert wlines[0] == "id_a,id_b,f0,f1,f2"
         assert len(wlines) == 4
+
+    def test_an_invalid_object_names_its_file(self, tmp_path, capsys):
+        obj_dir = self.make_objects(tmp_path)
+        doc = json.loads((obj_dir / "g1.json").read_text())
+        doc["C"][0][1] += 0.5
+        (obj_dir / "g1.json").write_text(json.dumps(doc))
+        code = main(["pairwise", str(obj_dir), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "AsymmetricCost"
+        assert err["message"].startswith(f"{obj_dir / 'g1.json'}: C is not symmetric")
+        assert not (tmp_path / "o").exists()
 
     def test_a_lost_helper_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
         parent, solve = os.getpid(), fsfgw.pipelines.solve_fsfgw

@@ -69,7 +69,7 @@ class TestStructuredObject:
             StructuredObject(C=C, a=[0.5, 0.5], X=np.zeros((2, 1)))
 
     def test_measure_must_sum_to_one(self):
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(InvalidMeasure, match=r"^a sums to 1\.1, expected 1 within 1e-09$"):
             StructuredObject(C=np.zeros((2, 2)), a=[0.5, 0.6], X=np.zeros((2, 1)))
 
     def test_negative_measure_rejected(self):

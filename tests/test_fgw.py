@@ -19,8 +19,7 @@ import fsfgw.fgw
 from fsfgw.fgw import (
     FgwProblem,
     InstanceTooLarge,
-    _k_dense,
-    _k_sparse,
+    _k,
     gw_gradient,
     gw_value,
     solve_fgw,
@@ -408,8 +407,9 @@ class TestLinearOperator:
     def test_one_operator_call_per_line_search(self, monkeypatch, q):
         # K is applied to a dense plan once, for the starting gradient, and
         # once per reached line search: to the direction D through
-        # gw_gradient at q = 2, to the LP vertex otherwise.
-        calls = {"gw_gradient": 0, "gw_value": 0, "_k_sparse": 0}
+        # gw_gradient at q = 2, to the LP vertex otherwise.  gw_gradient
+        # applies K through _k too.
+        calls = {"gw_gradient": 0, "gw_value": 0, "_k": 0}
         lps = []
         for name in calls:
             real = getattr(fsfgw.fgw, name)
@@ -436,9 +436,9 @@ class TestLinearOperator:
         cost, vertex = lps[-1]
         reached = len(lps) - 1 + (float(np.sum(cost * (vertex - sol.T))) < 0.0)
         if q == 2.0:
-            assert counted == {"gw_gradient": 1 + reached, "gw_value": 0, "_k_sparse": 0}
+            assert counted == {"gw_gradient": 1 + reached, "gw_value": 0, "_k": 1 + reached}
         else:
-            assert counted == {"gw_gradient": 1, "gw_value": 0, "_k_sparse": reached}
+            assert counted == {"gw_gradient": 1, "gw_value": 0, "_k": 1 + reached}
         assert sol.objective == pytest.approx(fgw_objective(sol.T, prob, M), rel=1e-12)
         assert all(b < a for a, b in zip(sol.trace, sol.trace[1:]))
 
@@ -512,6 +512,9 @@ class TestStructureOperator:
     @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("route", ["simplex", "assignment"])
     def test_sparse_equals_dense_on_an_lp_vertex(self, q, route):
+        # On an LP vertex K is the einsum over the whole support block
+        # |C1[:, rows] - C2[:, cols]|^q, gathered C-contiguous, bit for bit,
+        # and the dense definition up to rounding.
         rng = np.random.default_rng(25)
         n = m = 9
         if route == "simplex":
@@ -522,30 +525,53 @@ class TestStructureOperator:
         assert (lp.basis is None) == (route == "assignment")
         rows, cols = np.nonzero(lp.T)
         C1, C2 = oracles.random_structure(rng, n), oracles.random_structure(rng, m)
-        sparse = _k_sparse(rows, cols, lp.T[rows, cols], C1, C2, q)
-        np.testing.assert_allclose(sparse, _k_dense(lp.T, C1, C2, q), rtol=0.0, atol=1e-12)
+        K = _k(lp.T, C1, C2, q)
+        block = np.abs(np.take(C1, rows, axis=1)[:, None, :]
+                       - np.take(C2, cols, axis=1)[None, :, :]) ** q
+        assert block.flags.c_contiguous
+        assert np.array_equal(K, np.einsum("ijs,s->ij", block, lp.T[rows, cols]))
+        dense = oracles.gw_gradient_quadruple(lp.T, C1, C2, q=q) / 2.0
+        np.testing.assert_allclose(K, dense, rtol=0.0, atol=1e-12)
 
     def test_sparse_memory_is_bounded(self):
-        # At n = 2, m = 2000 the 2001 vertex entries would take an
-        # (n, m, 2001) piece of 64 MB and gather 32 MB of C2's columns;
-        # pieces of at most 2**22 doubles (33.6 MB) with their gathered
-        # columns keep the call under 40 MB.
+        # K's 1 MiB pieces, each filled from tiles of at most 1 MiB, keep
+        # each call under 4 MB.  At n = 2, m = 2000 the 2001 entries of a
+        # vertex would take an (n, m, 2001) support block of 64 MB.
         n, m = 2, 2000
         rng = np.random.default_rng(26)
         a, b = oracles.random_measure(rng, n), oracles.random_measure(rng, m)
         lp = solve_emd(np.zeros((n, m)), a, b)
         rows, cols = np.nonzero(lp.T)
-        values = lp.T[rows, cols]
-        assert rows.size > 2 * (2**22 // (n * m + n + m))  # three pieces
         C1, C2 = oracles.random_structure(rng, n), oracles.random_structure(rng, m)
         tracemalloc.start()
         try:
-            K = _k_sparse(rows, cols, values, C1, C2, 1.0)
+            K = _k(lp.T, C1, C2, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
-        np.testing.assert_allclose(K, _k_dense(lp.T, C1, C2, 1.0), rtol=0.0, atol=1e-12)
+        assert peak < 4e6
+        # Each row of K is the same einsum reduction as over that whole
+        # row of the support block.
+        for i in range(n):
+            row = np.abs(C1[i, rows] - np.take(C2, cols, axis=1))
+            assert np.array_equal(K[i], np.einsum("js,s->j", row, lp.T[rows, cols]))
+        # gw_value of a dense 100 x 100 plan at q = 1 applies K to all
+        # 10,000 entries, whose support block would take 800 MB.
+        n = 100
+        C1, C2 = oracles.random_structure(rng, n), oracles.random_structure(rng, n)
+        T = rng.uniform(0.5, 1.0, (n, n))
+        T /= T.sum()
+        tracemalloc.start()
+        try:
+            value = gw_value(T, C1, C2, q=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        # <K(T), T>, summed one row of the (n, m, n, m) block at a time.
+        K = [np.einsum("jkl,kl->j", np.abs(C1[i, None, :, None] - C2[:, None, :]), T)
+             for i in range(n)]
+        assert value == pytest.approx(float(np.sum(np.array(K) * T)), rel=1e-12)
 
     def test_alternating_solve_memory_is_bounded(self):
         # At n = m = 45 and q = 1 the whole difference block would be

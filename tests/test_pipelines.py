@@ -335,6 +335,12 @@ class TestRocSweep:
             roc_sweep(SyntheticSpec(n=12, d=6, k=0, geo_radius=0.45),
                       FsFgwConfig(mode="lasso", suppression_fraction=0.3), [0.3])
 
+    def test_every_fraction_is_checked_before_the_pair_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(pipelines, "generate_synthetic_pair", pytest.fail)
+        spec = SyntheticSpec(n=12, d=6, k=2, geo_radius=0.45)
+        with pytest.raises(InvalidConfig, match="1.5"):
+            roc_sweep(spec, FsFgwConfig(mode="lasso", suppression_fraction=0.3), [0.1, 1.5])
+
     def test_small_sweep(self):
         spec = SyntheticSpec(n=12, d=6, k=2, geo_radius=0.45, seed=3)
         config = FsFgwConfig(mode="lasso", suppression_fraction=0.3, seed=spec.seed)
